@@ -18,22 +18,17 @@ from .engine import (
     region_contains,
     reset_stat,
     run,
-    schedule,
     truncated_minibatch_step,
 )
 from .families import (
     Exponential,
-    FamilySpec,
     Gaussian,
     MixtureParams,
     Poisson,
     SuffStats,
-    family_of,
     log_density,
     mean_sbar,
-    responsibilities,
     sample,
-    sbar,
     theta_bar,
 )
 from .metrics import (
@@ -48,7 +43,6 @@ __all__ = [
     "DEFAULT_LEARNING_RATE",
     "EmState",
     "Exponential",
-    "FamilySpec",
     "Gaussian",
     "LearningRate",
     "MetricReport",
@@ -61,7 +55,6 @@ __all__ = [
     "adjusted_rand_index",
     "batch_em_step",
     "dataset_loglik",
-    "family_of",
     "init_suffstats",
     "log_density",
     "map_labels",
@@ -70,11 +63,8 @@ __all__ = [
     "polyak_update",
     "region_contains",
     "reset_stat",
-    "responsibilities",
     "run",
     "sample",
-    "sbar",
-    "schedule",
     "squared_error",
     "theta_bar",
     "truncated_minibatch_step",

@@ -20,7 +20,7 @@ import json
 import sys
 from pathlib import Path
 
-from .engine import LearningRate
+from .engine import DEFAULT_LEARNING_RATE, LearningRate, RunConfig, TruncationRegion
 from .experiment import (
     ExperimentSpec,
     IdxSource,
@@ -39,17 +39,17 @@ VARIANT_CHOICES = ("all", "em", "mb", "mb-polyak", "mb-trunc", "mb-trunc-polyak"
 
 _DEFAULTS = {
     "seed": 0,
-    "epochs": 10,
+    "epochs": RunConfig.epochs,
     "batch_frac": [0.1, 0.2],
     "variant": ["all"],
     "reps": 1,
     "n": 100_000,
     "g": None,
-    "gamma0": 1.0 - 1e-10,
-    "alpha": 0.6,
-    "c1": 1000.0,
-    "c2": 1000.0,
-    "c3": 1000.0,
+    "gamma0": DEFAULT_LEARNING_RATE.gamma0,
+    "alpha": DEFAULT_LEARNING_RATE.alpha,
+    "c1": TruncationRegion.c1,
+    "c2": TruncationRegion.c2,
+    "c3": TruncationRegion.c3,
     "workers": 1,
     "d_pc": 10,
 }
@@ -177,7 +177,7 @@ def _build_spec(source, opts, variants) -> ExperimentSpec:
         master_seed=int(opts["seed"]),
         epochs=int(opts["epochs"]),
         learning_rate=LearningRate(float(opts["gamma0"]), float(opts["alpha"])),
-        truncation=(float(opts["c1"]), float(opts["c2"]), float(opts["c3"])),
+        truncation=TruncationRegion(float(opts["c1"]), float(opts["c2"]), float(opts["c3"])),
         workers=int(opts["workers"]),
     )
 

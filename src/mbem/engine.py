@@ -32,7 +32,6 @@ from .families import (
     Gaussian,
     MixtureParams,
     SuffStats,
-    family_of,
     mean_sbar,
     stats_from_params,
     theta_bar,
@@ -65,11 +64,6 @@ class LearningRate:
         if r < 1:
             raise InvalidInputError(f"iteration index must be >= 1, got {r}")
         return self.gamma0 * float(r) ** (-self.alpha)
-
-
-def schedule(lr: LearningRate, r: int) -> float:
-    """Alias for :meth:`LearningRate.at`."""
-    return lr.at(r)
 
 
 #: Schedule used throughout the experiment protocols.
@@ -188,7 +182,6 @@ class EmState:
     stats: SuffStats
     theta: MixtureParams
     r: int = 0
-    polyak: MixtureParams | None = None
     region: TruncationRegion | None = None
 
 
@@ -197,8 +190,12 @@ class EmState:
 # ---------------------------------------------------------------------------
 
 def batch_em_step(data: np.ndarray, theta: MixtureParams) -> MixtureParams:
-    """One full E+M sweep over ``data``."""
-    return theta_bar(mean_sbar(data, theta), family_of(theta))
+    """One full E+M sweep over ``data``.
+
+    Reference for :func:`run` with ``algorithm="batch"``, whose per-epoch
+    trace equals iterated calls of this function bit for bit.
+    """
+    return theta_bar(mean_sbar(data, theta), theta.family_tag)
 
 
 def init_suffstats(batch: np.ndarray, theta0: MixtureParams) -> SuffStats:
@@ -211,16 +208,12 @@ def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
     if not 0.0 < gamma <= 1.0:
         raise InvalidInputError(f"step size must lie in (0, 1], got {gamma}")
     stats = state.stats.blend(mean_sbar(batch, state.theta), gamma)
-    theta = theta_bar(stats, family_of(state.theta))
+    theta = theta_bar(stats, state.theta.family_tag)
     return replace(state, stats=stats, theta=theta, r=state.r + 1)
 
 
 def truncated_minibatch_step(
-    state: EmState,
-    batch: np.ndarray,
-    gamma: float,
-    region: TruncationRegion,
-    rng: np.random.Generator | None = None,
+    state: EmState, batch: np.ndarray, gamma: float, region: TruncationRegion
 ) -> EmState:
     """One truncated step: accept the candidate inside the current region, else reset.
 
@@ -230,35 +223,31 @@ def truncated_minibatch_step(
     """
     if not 0.0 < gamma <= 1.0:
         raise InvalidInputError(f"step size must lie in (0, 1], got {gamma}")
+    family = state.theta.family_tag
     candidate = state.stats.blend(mean_sbar(batch, state.theta), gamma)
     try:
-        theta = theta_bar(candidate, family_of(state.theta))
+        theta = theta_bar(candidate, family)
         inside = region_contains(theta, region)
     except (EmptyComponentError, DegenerateComponentError):
         inside = False
     if inside:
         return replace(state, stats=candidate, theta=theta, r=state.r + 1, region=region)
-    stats = reset_stat(state, batch, region, rng)
-    theta = theta_bar(stats, family_of(state.theta))
+    stats = reset_stat(state, batch, region)
+    theta = theta_bar(stats, family)
     return replace(state, stats=stats, theta=theta, r=state.r + 1, region=region.grown())
 
 
-def reset_stat(
-    state: EmState,
-    batch: np.ndarray,
-    region: TruncationRegion,
-    rng: np.random.Generator | None = None,
-) -> SuffStats:
+def reset_stat(state: EmState, batch: np.ndarray, region: TruncationRegion) -> SuffStats:
     """Replacement statistic inside the base region after a truncation event.
 
     Builds the fresh-batch statistic at the last accepted parameters, maps it
     to parameter space (falling back to the last accepted parameters when the
     map is undefined), projects into the base region, and rebuilds the
-    statistic from the projected parameters.  Deterministic given its inputs;
-    ``rng`` is accepted for callers that thread the engine generator through.
+    statistic from the projected parameters.  Deterministic given its inputs.
     """
+    family = state.theta.family_tag
     try:
-        anchor = theta_bar(mean_sbar(batch, state.theta), family_of(state.theta))
+        anchor = theta_bar(mean_sbar(batch, state.theta), family)
     except (EmptyComponentError, DegenerateComponentError):
         anchor = state.theta
     base = replace(region, m=0)
@@ -267,7 +256,7 @@ def reset_stat(
     for margin in (0.0, 1e-12, 1e-9, 1e-6):
         projected = _project_into_base_region(anchor, region, margin)
         stats = stats_from_params(projected)
-        if region_contains(theta_bar(stats, family_of(projected)), base):
+        if region_contains(theta_bar(stats, family), base):
             return stats
     raise TruncationError("projection failed to land inside the base region")
 
@@ -333,7 +322,7 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced; metric fields are filled by the harness."""
+    """Everything one run produced: parameters, per-epoch traces, counts, timings."""
 
     final_theta: MixtureParams
     polyak_theta: MixtureParams | None
@@ -344,9 +333,6 @@ class RunRecord:
     wall_time: float
     cpu_time: float
     iterates: list | None = None
-    loglik: float | None = None
-    se: float | None = None
-    ari: float | None = None
 
 
 def run(
@@ -358,73 +344,52 @@ def run(
 ) -> RunRecord:
     """Execute one configured run and record its trace.
 
-    Mini-batch variants perform epochs * ceil(n / N) iterations drawn
-    uniformly with replacement; the batch variant performs one sweep per
-    epoch.  The trace is recorded at epoch boundaries.  Identical seed and
-    config give a bit-identical record apart from the timing fields.
+    Mini-batch variants perform epochs * ceil(n / N) iterations on batches
+    drawn uniformly with replacement, starting from the E-step average of
+    one such batch at ``init``.  Batch EM is the same loop with the whole
+    data set as the batch and gamma_r = 1: one iteration per epoch, no
+    draws, starting from the statistic whose M-step image is ``init``.  The
+    trace is recorded at epoch boundaries.  Identical seed and config give a
+    bit-identical record apart from the timing fields.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
     wall0, cpu0 = time.perf_counter(), time.process_time()
-
-    if config.algorithm == "batch":
-        theta, acc = init, None
-        trace, polyak_trace, iterates = [], [], []
-        for r in range(1, config.epochs + 1):
-            try:
-                theta = batch_em_step(data, theta)
-            except EstimationError as exc:
-                raise EngineRunError(r, str(exc)) from exc
-            if config.polyak:
-                acc = polyak_update(acc, theta, r)
-            trace.append(theta)
-            if config.polyak:
-                polyak_trace.append(acc)
-            if keep_iterates:
-                iterates.append(theta)
-        return RunRecord(
-            final_theta=theta,
-            polyak_theta=acc,
-            trace=trace,
-            polyak_trace=polyak_trace,
-            iterations=config.epochs,
-            truncation_events=0,
-            wall_time=time.perf_counter() - wall0,
-            cpu_time=time.process_time() - cpu0,
-            iterates=iterates if keep_iterates else None,
-        )
-
-    batch_size = config.batch_size
-    if batch_size > n:
-        raise InvalidInputError(f"batch size {batch_size} exceeds data size {n}")
-    per_epoch = math.ceil(n / batch_size)
-    total = config.epochs * per_epoch
+    full = config.algorithm == "batch"
     truncated = config.algorithm == "truncated-minibatch"
-    region = config.truncation if truncated else None
+    if full:
+        per_epoch = 1
+    else:
+        if config.batch_size > n:
+            raise InvalidInputError(f"batch size {config.batch_size} exceeds data size {n}")
+        per_epoch = math.ceil(n / config.batch_size)
+        if rng is None:
+            rng = np.random.default_rng(config.seed)
 
-    first = data[rng.integers(0, n, size=batch_size)]
+    def draw() -> np.ndarray:
+        return data if full else data[rng.integers(0, n, size=config.batch_size)]
+
     try:
-        stats0 = init_suffstats(first, init)
+        # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
+        stats0 = stats_from_params(init) if full else init_suffstats(draw(), init)
     except EstimationError as exc:
         raise EngineRunError(0, str(exc)) from exc
-    state = EmState(stats=stats0, theta=init, r=0, region=region)
+    state = EmState(stats=stats0, theta=init, region=config.truncation if truncated else None)
+    total = config.epochs * per_epoch
     acc = None
     trace, polyak_trace, iterates = [], [], []
     for r in range(1, total + 1):
-        batch = data[rng.integers(0, n, size=batch_size)]
-        gamma = config.learning_rate.at(r)
+        batch = draw()
+        gamma = 1.0 if full else config.learning_rate.at(r)
         try:
             if truncated:
-                state = truncated_minibatch_step(state, batch, gamma, state.region, rng)
+                state = truncated_minibatch_step(state, batch, gamma, state.region)
             else:
                 state = minibatch_step(state, batch, gamma)
         except EstimationError as exc:
             raise EngineRunError(r, str(exc)) from exc
         if config.polyak:
             acc = polyak_update(acc, state.theta, r)
-            state = replace(state, polyak=acc)
         if keep_iterates:
             iterates.append(state.theta)
         if r % per_epoch == 0:

@@ -29,7 +29,7 @@ from .data import (
     read_labeled_csv,
     template_from_labeled_data,
 )
-from .engine import LearningRate, RunConfig, TruncationRegion, run
+from .engine import DEFAULT_LEARNING_RATE, LearningRate, RunConfig, TruncationRegion, run
 from .errors import EngineRunError, EstimationError, InvalidInputError
 from .families import MixtureParams, params_from_dict, params_to_dict, sample
 from .metrics import (
@@ -129,9 +129,9 @@ class ExperimentSpec:
     variants: tuple
     repetitions: int
     master_seed: int
-    epochs: int = 10
-    learning_rate: LearningRate = field(default_factory=lambda: LearningRate(1.0 - 1e-10, 0.6))
-    truncation: tuple = (1000.0, 1000.0, 1000.0)
+    epochs: int = RunConfig.epochs
+    learning_rate: LearningRate = DEFAULT_LEARNING_RATE
+    truncation: TruncationRegion = field(default_factory=TruncationRegion)
     workers: int = 1
 
     def __post_init__(self):
@@ -269,7 +269,7 @@ def _run_task(args) -> RunRow:
         epochs=epochs,
         batch_size=batch_size,
         learning_rate=lr,
-        truncation=TruncationRegion(*trunc),
+        truncation=trunc,
         polyak=variant.polyak,
         seed=seed,
     )
@@ -483,7 +483,7 @@ def write_meta(spec: ExperimentSpec, path, theta_true: MixtureParams | None = No
         "repetitions": spec.repetitions,
         "g": spec.g,
         "learning_rate": {"gamma0": spec.learning_rate.gamma0, "alpha": spec.learning_rate.alpha},
-        "truncation": list(spec.truncation),
+        "truncation": [spec.truncation.c1, spec.truncation.c2, spec.truncation.c3],
         "variants": [v.vid for v in spec.variants],
         "workers": spec.workers,
         "source": source,

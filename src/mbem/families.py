@@ -12,8 +12,8 @@ unnormalized log densities are never exponentiated directly, so the code
 stays usable at dimensions where raw densities underflow.
 
 The per-observation conditional expectation of the complete-data sufficient
-statistic is exposed as :func:`sbar` (single point) and :func:`mean_sbar`
-(batch average), and the maximizer of the statistic-linear complete-data
+statistic is exposed, averaged over a batch of observations, as
+:func:`mean_sbar`, and the maximizer of the statistic-linear complete-data
 objective as :func:`theta_bar`.  For the normal family these are
 
     s1_z = tau_z,  s2_z = tau_z * y,  S3_z = tau_z * y y^T
@@ -31,8 +31,8 @@ rate = s2/s1 (Poisson).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -299,38 +299,6 @@ class SuffStats:
 
 
 # ---------------------------------------------------------------------------
-# family descriptor
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FamilySpec:
-    """Descriptor binding one component family to its three operation handles."""
-
-    tag: str
-    dim: int
-    log_component_density: Callable = field(repr=False, default=None)
-    sbar: Callable = field(repr=False, default=None)
-    theta_bar: Callable = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self.tag not in ("gaussian", "exponential", "poisson"):
-            raise InvalidInputError(f"unknown family tag {self.tag!r}")
-        if self.tag != "gaussian" and self.dim != 1:
-            raise InvalidInputError("rate families are one-dimensional")
-        if self.log_component_density is None:
-            object.__setattr__(self, "log_component_density", _component_log_density)
-        if self.sbar is None:
-            object.__setattr__(self, "sbar", sbar)
-        if self.theta_bar is None:
-            object.__setattr__(self, "theta_bar", lambda s, _spec=self: theta_bar(s, _spec))
-
-
-def family_of(theta: MixtureParams) -> FamilySpec:
-    """Family descriptor matching a parameter vector."""
-    return FamilySpec(theta.family_tag, theta.dim)
-
-
-# ---------------------------------------------------------------------------
 # log densities and responsibilities
 # ---------------------------------------------------------------------------
 
@@ -368,9 +336,11 @@ def _component_log_density(component: Component, y: np.ndarray) -> np.ndarray:
         out = np.where(x >= 0.0, math.log(component.rate) - component.rate * x, -np.inf)
         return out
     if isinstance(component, Poisson):
+        # Support is the nonnegative integers; gammaln would accept any x > -1.
         lam = component.rate
+        support = (x >= 0.0) & (x == np.floor(x))
         with np.errstate(invalid="ignore"):
-            out = np.where(x >= 0.0, x * math.log(lam) - lam - gammaln(x + 1.0), -np.inf)
+            out = np.where(support, x * math.log(lam) - lam - gammaln(x + 1.0), -np.inf)
         return out
     raise InvalidInputError(f"unsupported component type {type(component).__name__}")
 
@@ -423,19 +393,9 @@ def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     return tau
 
 
-def responsibilities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
-    """Posterior component probabilities tau_z(y; theta) for a single point."""
-    return responsibilities_batch(np.asarray(y, dtype=float).reshape(1, -1), theta)[0]
-
-
 # ---------------------------------------------------------------------------
 # E-step map: conditional expectation of the sufficient statistic
 # ---------------------------------------------------------------------------
-
-def sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
-    """Conditional expectation of the complete-data statistic at one point."""
-    return mean_sbar(np.asarray(y, dtype=float).reshape(1, -1), theta)
-
 
 def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
     """Average of the per-observation statistic map over the rows of ``y``.
@@ -462,14 +422,19 @@ def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
 # M-step map
 # ---------------------------------------------------------------------------
 
-def theta_bar(stats: SuffStats, family: FamilySpec) -> MixtureParams:
+def theta_bar(stats: SuffStats, family: str) -> MixtureParams:
     """Maximizer of the statistic-linear complete-data objective.
 
-    Raises :class:`EmptyComponentError` when a component's mass is at or below
-    the floor, and :class:`DegenerateCovarianceError` /
-    :class:`DegenerateComponentError` when the maximizer falls outside the
-    parameter space.  The truncated engines convert these into resets.
+    ``family`` is a family tag (:attr:`MixtureParams.family_tag`):
+    ``"gaussian"``, ``"exponential"`` or ``"poisson"``; any other tag raises
+    :class:`InvalidInputError`.  Raises :class:`EmptyComponentError` when a
+    component's mass is at or below the floor, and
+    :class:`DegenerateCovarianceError` / :class:`DegenerateComponentError`
+    when the maximizer falls outside the parameter space.  The truncated
+    engines convert these into resets.
     """
+    if family not in _FAMILY_TAGS.values():
+        raise InvalidInputError(f"unknown family tag {family!r}")
     mass = stats.mass
     if not np.all(np.isfinite(mass)):
         raise InvalidInputError("non-finite statistic mass")
@@ -478,7 +443,7 @@ def theta_bar(stats: SuffStats, family: FamilySpec) -> MixtureParams:
         raise EmptyComponentError(f"component {z} mass {mass[z]:.3e} at or below floor {S1_FLOOR}")
     weights = mass / mass.sum()
 
-    if family.tag == "gaussian":
+    if family == "gaussian":
         d = stats.dim
         means = stats.moment1 / mass[:, None]
         comps = []
@@ -497,17 +462,15 @@ def theta_bar(stats: SuffStats, family: FamilySpec) -> MixtureParams:
         return MixtureParams(weights, tuple(comps))
 
     second = stats.moment1[:, 0]
-    if family.tag == "exponential":
+    if family == "exponential":
         # Weighted MLE of the rate: maximizes s1*log(rate) - rate*s2.
         with np.errstate(divide="ignore", invalid="ignore"):
             rates = mass / second
         cls = Exponential
-    elif family.tag == "poisson":
-        # Weighted MLE of the rate: maximizes s2*log(rate) - rate*s1.
+    else:
+        # Weighted MLE of the Poisson rate: maximizes s2*log(rate) - rate*s1.
         rates = second / mass
         cls = Poisson
-    else:
-        raise InvalidInputError(f"unknown family tag {family.tag!r}")
     if np.any(~np.isfinite(rates)) or np.any(rates <= 0.0):
         z = int(np.argmin(np.where(np.isfinite(rates), rates, -np.inf)))
         raise DegenerateComponentError(f"component {z} rate is not a positive finite number")

@@ -36,7 +36,6 @@ from mbem.experiment import (
     write_results_csv,
 )
 from mbem.families import (
-    FamilySpec,
     Gaussian,
     MixtureParams,
     SuffStats,
@@ -330,8 +329,8 @@ def test_criterion_7_count_family_mstep_oracle():
         mass /= mass.sum()
         m1 = rng.uniform(0.05, 5.0, g) * mass
         stats = SuffStats(mass, m1[:, None])
-        t_exp = theta_bar(stats, FamilySpec("exponential", 1))
-        t_poi = theta_bar(stats, FamilySpec("poisson", 1))
+        t_exp = theta_bar(stats, "exponential")
+        t_poi = theta_bar(stats, "poisson")
         for z in range(g):
             s1, s2 = mass[z], m1[z]
             exp_hat = _maximize_rate(lambda lam: -(s1 * math.log(lam) - lam * s2), s1 / s2)

@@ -17,11 +17,10 @@ from mbem.engine import (
     region_contains,
     reset_stat,
     run,
-    schedule,
     truncated_minibatch_step,
 )
 from mbem.errors import EngineRunError, InvalidInputError
-from mbem.families import Gaussian, MixtureParams, Poisson, family_of, mean_sbar, sample, sbar, theta_bar
+from mbem.families import Gaussian, MixtureParams, Poisson, mean_sbar, sample, theta_bar
 from mbem.metrics import dataset_loglik
 
 from conftest import make_gaussian_mixture
@@ -43,12 +42,12 @@ def _params_equal(a: MixtureParams, b: MixtureParams) -> bool:
 
 def test_schedule_first_step_is_gamma0():
     lr = LearningRate(1.0 - 1e-10, 0.6)
-    assert schedule(lr, 1) == 1.0 - 1e-10
+    assert lr.at(1) == 1.0 - 1e-10
 
 
 def test_schedule_definition_at_r2():
     lr = LearningRate(0.9, 0.6)
-    assert schedule(lr, 2) == pytest.approx(0.9 * 2.0 ** (-0.6), abs=1e-16)
+    assert lr.at(2) == pytest.approx(0.9 * 2.0 ** (-0.6), abs=1e-16)
 
 
 def test_schedule_strictly_decreasing_and_in_unit_interval():
@@ -187,7 +186,7 @@ def test_single_point_batch_reduces_to_online_update(rng):
     y = data[7:8]
     gamma = 0.3
     stepped = minibatch_step(state, y, gamma)
-    manual = state.stats.blend(sbar(y[0], init), gamma)
+    manual = state.stats.blend(mean_sbar(y[0], init), gamma)
     np.testing.assert_allclose(stepped.stats.mass, manual.mass, atol=1e-15)
     np.testing.assert_allclose(stepped.stats.moment1, manual.moment1, atol=1e-15)
     np.testing.assert_allclose(stepped.stats.moment2, manual.moment2, atol=1e-15)
@@ -321,7 +320,7 @@ def test_reset_stat_identity_on_base_region():
         np.array([[0.0, 0.0]]),  # single point: anchor M-step is degenerate
         region,
     )
-    rebuilt = theta_bar(stats, family_of(theta))
+    rebuilt = theta_bar(stats, theta.family_tag)
     assert _params_equal(rebuilt, theta)
 
 
@@ -330,7 +329,7 @@ def test_reset_stat_clips_small_eigenvalue(rng):
     region = TruncationRegion(1000, 1000, 1000)
     state = EmState(stats=init_suffstats(np.array([[0.0]]), theta), theta=theta, region=region)
     stats = reset_stat(state, np.array([[0.0]]), region)
-    rebuilt = theta_bar(stats, family_of(theta))
+    rebuilt = theta_bar(stats, theta.family_tag)
     assert rebuilt.components[0].cov[0, 0] == pytest.approx(1e-3, rel=1e-9)
     assert region_contains(rebuilt, TruncationRegion(1000, 1000, 1000, m=0))
 
@@ -356,7 +355,7 @@ def test_reset_stat_postcondition_on_random_states(rng):
         init = random_partition_init(data, 2, rng)
         state = EmState(stats=init_suffstats(data[:10], init), theta=init, region=base)
         stats = reset_stat(state, data[10:30], base)
-        assert region_contains(theta_bar(stats, family_of(init)), TruncationRegion(50, 50, 50, m=0))
+        assert region_contains(theta_bar(stats, init.family_tag), TruncationRegion(50, 50, 50, m=0))
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +407,7 @@ def test_init_suffstats_single_observation(rng):
     theta = make_gaussian_mixture(rng, 2, 2)
     y = rng.normal(0, 1, (1, 2))
     a = init_suffstats(y, theta)
-    b = sbar(y[0], theta)
+    b = mean_sbar(y[0], theta)
     assert np.array_equal(a.mass, b.mass)
     assert np.array_equal(a.moment1, b.moment1)
     assert np.array_equal(a.moment2, b.moment2)
@@ -453,14 +452,39 @@ def test_run_determinism(rng):
         assert _params_equal(ta, tb)
 
 
-def test_run_wraps_engine_errors_with_iteration_index():
+@pytest.mark.parametrize("algorithm", ["minibatch", "batch"])
+def test_run_wraps_engine_errors_with_iteration_index(algorithm):
     # untruncated run from a degenerate start: one component swallows no points
     data = np.concatenate([np.random.default_rng(0).normal(-4, 1, 500),
                            np.random.default_rng(1).normal(4, 1, 500)])[:, None]
     init = MixtureParams([0.5, 0.5], (Gaussian([0.0], [[1e-9]]), Gaussian([1.0], [[1.0]])))
     with pytest.raises(EngineRunError) as err:
-        run(data, RunConfig(algorithm="minibatch", epochs=2, batch_size=100, seed=3), init)
-    assert err.value.iteration >= 0
+        run(data, RunConfig(algorithm=algorithm, epochs=2, batch_size=100, seed=3), init)
+    assert err.value.iteration == 1
+
+
+def test_batch_run_is_iterated_batch_em_step(rng):
+    # batch EM runs through the mini-batch loop at gamma = 1 on the full data;
+    # its trace must match the standalone sweep bit for bit
+    theta = make_gaussian_mixture(rng, 2, 3)
+    data, _ = sample(theta, 300, rng)
+    init = random_partition_init(data, 3, rng)
+    rec = run(data, RunConfig(algorithm="batch", epochs=6, polyak=True), init)
+    sweeps, t = [], init
+    for _ in range(6):
+        t = batch_em_step(data, t)
+        sweeps.append(t)
+    assert rec.iterations == len(rec.trace) == len(rec.polyak_trace) == 6
+    for r, (traced, averaged) in enumerate(zip(rec.trace, rec.polyak_trace), start=1):
+        assert _params_equal(traced, sweeps[r - 1])
+        head = sweeps[:r]
+        np.testing.assert_allclose(averaged.weights, np.mean([s.weights for s in head], axis=0), atol=1e-12)
+        np.testing.assert_allclose(averaged.means(), np.mean([s.means() for s in head], axis=0), atol=1e-12)
+        np.testing.assert_allclose(
+            averaged.covariances(), np.mean([s.covariances() for s in head], axis=0), atol=1e-12
+        )
+    assert rec.final_theta is rec.trace[-1]
+    assert rec.polyak_theta is rec.polyak_trace[-1]
 
 
 def test_run_recovers_poisson_mixture_rates():

@@ -8,7 +8,7 @@ import pytest
 
 from mbem.cli import main as cli_main
 from mbem.data import random_partition_init
-from mbem.engine import LearningRate, RunConfig, run
+from mbem.engine import LearningRate, RunConfig, TruncationRegion, run
 from mbem.experiment import (
     RESULTS_COLUMNS,
     TIMING_COLUMNS,
@@ -157,7 +157,7 @@ def test_failed_run_recorded_not_fatal():
     )
     row = _run_task(
         (VariantSpec("mb", 0.25), 0, bad_init, None, 7, LearningRate(0.9, 0.6),
-         (1000.0, 1000.0, 1000.0), 3, 3)
+         TruncationRegion(), 3, 3)
     )
     assert row.status.startswith("error:")
     assert math.isnan(row.loglik)

@@ -13,21 +13,17 @@ from mbem.errors import (
 )
 from mbem.families import (
     Exponential,
-    FamilySpec,
     Gaussian,
     MixtureParams,
     Poisson,
     SuffStats,
-    family_of,
     log_density,
     mean_sbar,
     pack_symmetric,
     params_from_dict,
     params_to_dict,
-    responsibilities,
     responsibilities_batch,
     sample,
-    sbar,
     stats_from_params,
     theta_bar,
     unpack_symmetric,
@@ -141,6 +137,9 @@ def test_log_density_exponential_and_poisson():
     assert log_density([-1.0], exp_mix) == -np.inf
     poi_mix = MixtureParams([1.0], (Poisson(3.0),))
     assert log_density([2.0], poi_mix) == pytest.approx(2 * math.log(3.0) - 3.0 - math.log(2.0), abs=1e-13)
+    # off the nonnegative integers the Poisson density is zero
+    assert log_density([-1.0], poi_mix) == -np.inf
+    assert log_density([1.5], poi_mix) == -np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -148,17 +147,17 @@ def test_log_density_exponential_and_poisson():
 # ---------------------------------------------------------------------------
 
 def test_responsibilities_single_component():
-    assert np.array_equal(responsibilities([0.7], STD_NORMAL_1D), [1.0])
+    assert np.array_equal(responsibilities_batch([0.7], STD_NORMAL_1D)[0], [1.0])
 
 
 def test_responsibilities_identical_components():
     double = MixtureParams([0.5, 0.5], (Gaussian([1.5], [[2.0]]), Gaussian([1.5], [[2.0]])))
-    np.testing.assert_allclose(responsibilities([0.3], double), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(responsibilities_batch([0.3], double)[0], [0.5, 0.5], atol=1e-15)
 
 
 def test_responsibilities_reflection_symmetry():
     theta = MixtureParams([0.5, 0.5], (Gaussian([-1.0], [[1.0]]), Gaussian([1.0], [[1.0]])))
-    np.testing.assert_allclose(responsibilities([0.0], theta), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(responsibilities_batch([0.0], theta)[0], [0.5, 0.5], atol=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
@@ -166,7 +165,7 @@ def test_responsibilities_reflection_symmetry():
 def test_responsibilities_sum_to_one(seed, y):
     rng = np.random.default_rng(seed)
     theta = make_gaussian_mixture(rng, 1, int(rng.integers(1, 5)))
-    tau = responsibilities([y], theta)
+    tau = responsibilities_batch([y], theta)[0]
     assert abs(tau.sum() - 1.0) <= 1e-12
     assert np.all(tau >= 0.0)
 
@@ -190,7 +189,10 @@ def test_responsibilities_degenerate_point():
     from mbem.errors import DegeneratePointError
 
     with pytest.raises(DegeneratePointError):
-        responsibilities([-1.0], exp_mix)
+        responsibilities_batch([-1.0], exp_mix)
+    poi_mix = MixtureParams([0.5, 0.5], (Poisson(1.0), Poisson(2.0)))
+    with pytest.raises(DegeneratePointError):
+        responsibilities_batch([[1.5]], poi_mix)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +203,7 @@ def test_sbar_single_component_is_raw_statistic(rng):
     d = 3
     theta = make_gaussian_mixture(rng, d, 1)
     y = rng.normal(0, 2, d)
-    s = sbar(y, theta)
+    s = mean_sbar(y, theta)
     assert s.mass[0] == 1.0
     np.testing.assert_allclose(s.moment1[0], y, atol=1e-15)
     np.testing.assert_allclose(unpack_symmetric(s.moment2[0], d), np.outer(y, y), atol=1e-15)
@@ -210,12 +212,12 @@ def test_sbar_single_component_is_raw_statistic(rng):
 def test_sbar_mass_sums_to_one(rng):
     theta = make_gaussian_mixture(rng, 2, 3)
     for _ in range(10):
-        s = sbar(rng.normal(0, 3, 2), theta)
+        s = mean_sbar(rng.normal(0, 3, 2), theta)
         assert abs(s.mass.sum() - 1.0) <= 1e-12
 
 
 def test_sbar_zero_point_kills_first_moment():
-    s = sbar([0.0, 0.0], TWO_COMP_2D)
+    s = mean_sbar([0.0, 0.0], TWO_COMP_2D)
     np.testing.assert_array_equal(s.moment1, np.zeros((2, 2)))
 
 
@@ -223,7 +225,7 @@ def test_mean_sbar_matches_average_of_single_points(rng):
     theta = make_gaussian_mixture(rng, 2, 2)
     data = rng.normal(0, 2, (7, 2))
     s = mean_sbar(data, theta)
-    singles = [sbar(y, theta) for y in data]
+    singles = [mean_sbar(y, theta) for y in data]
     np.testing.assert_allclose(s.mass, np.mean([t.mass for t in singles], axis=0), atol=1e-14)
     np.testing.assert_allclose(s.moment1, np.mean([t.moment1 for t in singles], axis=0), atol=1e-14)
     np.testing.assert_allclose(s.moment2, np.mean([t.moment2 for t in singles], axis=0), atol=1e-13)
@@ -234,14 +236,14 @@ def test_mean_sbar_matches_average_of_single_points(rng):
 # ---------------------------------------------------------------------------
 
 def test_theta_bar_point_mass_is_degenerate():
-    s = sbar([1.0], STD_NORMAL_1D)
+    s = mean_sbar([1.0], STD_NORMAL_1D)
     with pytest.raises(DegenerateCovarianceError):
-        theta_bar(s, family_of(STD_NORMAL_1D))
+        theta_bar(s, "gaussian")
 
 
 def test_theta_bar_two_point_variance():
     s = mean_sbar(np.array([[-1.0], [1.0]]), STD_NORMAL_1D)
-    t = theta_bar(s, family_of(STD_NORMAL_1D))
+    t = theta_bar(s, "gaussian")
     assert t.weights[0] == 1.0
     assert t.components[0].mean[0] == pytest.approx(0.0, abs=1e-15)
     assert t.components[0].cov[0, 0] == pytest.approx(1.0, abs=1e-15)
@@ -249,27 +251,33 @@ def test_theta_bar_two_point_variance():
 
 def test_theta_bar_exponential_rates():
     s = SuffStats([0.4, 0.6], np.array([[0.8], [3.0]]))
-    t = theta_bar(s, FamilySpec("exponential", 1))
+    t = theta_bar(s, "exponential")
     np.testing.assert_allclose(t.rates(), [0.5, 0.2], atol=1e-15)
     np.testing.assert_allclose(t.weights, [0.4, 0.6], atol=1e-15)
 
 
 def test_theta_bar_poisson_rates():
     s = SuffStats([0.4, 0.6], np.array([[0.8], [3.0]]))
-    t = theta_bar(s, FamilySpec("poisson", 1))
+    t = theta_bar(s, "poisson")
     np.testing.assert_allclose(t.rates(), [2.0, 5.0], atol=1e-15)
+
+
+def test_theta_bar_rejects_unknown_family_tag():
+    s = SuffStats([0.4, 0.6], np.array([[0.8], [3.0]]))
+    with pytest.raises(InvalidInputError):
+        theta_bar(s, "gamma")
 
 
 def test_theta_bar_empty_component():
     s = SuffStats([1e-13, 1.0 - 1e-13], np.array([[0.5], [0.5]]))
     with pytest.raises(EmptyComponentError):
-        theta_bar(s, FamilySpec("poisson", 1))
+        theta_bar(s, "poisson")
 
 
 def test_theta_bar_nonpositive_rate_is_degenerate():
     s = SuffStats([0.5, 0.5], np.array([[0.0], [1.0]]))
     with pytest.raises(DegenerateComponentError):
-        theta_bar(s, FamilySpec("poisson", 1))
+        theta_bar(s, "poisson")
 
 
 def test_theta_bar_weights_sum_exactly_to_one(rng):
@@ -277,7 +285,7 @@ def test_theta_bar_weights_sum_exactly_to_one(rng):
         g = int(rng.integers(1, 5))
         mass = rng.dirichlet(np.ones(g)) + 0.01
         s = SuffStats(mass, rng.uniform(0.5, 2.0, (g, 1)) * mass[:, None])
-        t = theta_bar(s, FamilySpec("poisson", 1))
+        t = theta_bar(s, "poisson")
         assert t.weights.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -285,7 +293,7 @@ def test_fixed_point_property_single_component(rng):
     # theta_bar of the averaged statistic map equals the closed-form MLE
     theta = make_gaussian_mixture(rng, 2, 1)
     data, _, _ = (lambda Y: (Y, None, None))(sample(theta, 300, rng)[0])
-    t = theta_bar(mean_sbar(data, theta), family_of(theta))
+    t = theta_bar(mean_sbar(data, theta), theta.family_tag)
     mean = data.mean(axis=0)
     centered = data - mean
     cov = centered.T @ centered / len(data)
@@ -306,7 +314,7 @@ def test_convex_combination_stays_valid(seed, gamma):
     mixed = a.blend(b, gamma)
     assert abs(mixed.mass.sum() - 1.0) <= 1e-10
     try:
-        t = theta_bar(mixed, family_of(theta))
+        t = theta_bar(mixed, theta.family_tag)
     except (EmptyComponentError, DegenerateCovarianceError):
         return  # combination landed on a boundary case; nothing to check
     assert t.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -314,15 +322,15 @@ def test_convex_combination_stays_valid(seed, gamma):
 
 def test_stats_from_params_inverts_theta_bar(rng):
     theta = make_gaussian_mixture(rng, 2, 3)
-    t = theta_bar(stats_from_params(theta), family_of(theta))
+    t = theta_bar(stats_from_params(theta), theta.family_tag)
     np.testing.assert_allclose(t.weights, theta.weights, atol=1e-14)
     np.testing.assert_allclose(t.means(), theta.means(), atol=1e-13)
     np.testing.assert_allclose(t.covariances(), theta.covariances(), atol=1e-12)
     pois = MixtureParams([0.25, 0.75], (Poisson(2.0), Poisson(7.0)))
-    back = theta_bar(stats_from_params(pois), family_of(pois))
+    back = theta_bar(stats_from_params(pois), pois.family_tag)
     np.testing.assert_allclose(back.rates(), pois.rates(), atol=1e-13)
     expo = MixtureParams([0.5, 0.5], (Exponential(0.5), Exponential(4.0)))
-    back = theta_bar(stats_from_params(expo), family_of(expo))
+    back = theta_bar(stats_from_params(expo), expo.family_tag)
     np.testing.assert_allclose(back.rates(), expo.rates(), atol=1e-13)
 
 
@@ -363,7 +371,7 @@ def test_theta_bar_maximizes_q_gaussian(rng):
         m1 = tau.T @ pts / 10
         m2 = np.stack([pack_symmetric((tau[:, z : z + 1] * pts).T @ pts / 10) for z in range(g)])
         stats = SuffStats(mass, m1, m2)
-        t = theta_bar(stats, FamilySpec("gaussian", d))
+        t = theta_bar(stats, "gaussian")
         for z in range(g):
             scatter = unpack_symmetric(m2[z], d)
             nparams = d + (1 if d == 1 else 3)
