@@ -10,6 +10,15 @@ data recovering one batch EM sweep.  The truncated variant tests the
 candidate parameter against a growing family of compact regions; leaving the
 current region triggers a reset to a projected statistic inside the base
 region and grows the region index by one.
+
+:func:`run` iterates on stacked arrays: the statistic blocks
+``(mass, moment1, moment2)`` and the parameter stack of
+:mod:`mbem.families` (weights, means, covariances, their Cholesky factors
+and log normalisers, or rates).  Each M-step factorises once and the next
+E-step reuses that factor.  ``MixtureParams`` objects are built only at
+epoch boundaries (the trace), with ``keep_iterates``, for the returned
+results and on truncation resets.  The public step functions wrap the same
+array step.
 """
 
 from __future__ import annotations
@@ -32,6 +41,12 @@ from .families import (
     Gaussian,
     MixtureParams,
     SuffStats,
+    _as_data_matrix,
+    _blend,
+    _estep,
+    _mstep,
+    _stack,
+    _Stacked,
     mean_sbar,
     stats_from_params,
     theta_bar,
@@ -103,22 +118,21 @@ class TruncationRegion:
 
 def region_contains(theta: MixtureParams, region: TruncationRegion) -> bool:
     """Membership test of a parameter vector in the region at its current index."""
+    return _inside(_stack(theta, factor=False), region)
+
+
+def _inside(p: _Stacked, region: TruncationRegion) -> bool:
+    """:func:`region_contains` on stacked arrays: one batched ``eigvalsh``."""
     m = float(region.m)
-    if np.any(theta.weights < 1.0 / (region.c1 + m)):
+    if (p.weights < 1.0 / (region.c1 + m)).any():
         return False
-    if theta.family_tag == "gaussian":
-        bound = region.c2 + m
-        lo, hi = 1.0 / (region.c3 + m), region.c3 + m
-        for comp in theta.components:
-            if np.any(np.abs(comp.mean) > bound):
-                return False
-            eigs = np.linalg.eigvalsh(comp.cov)
-            if eigs[0] < lo or eigs[-1] > hi:
-                return False
-        return True
-    rates = theta.rates()
     lo, hi = 1.0 / (region.c3 + m), region.c3 + m
-    return bool(np.all(rates >= lo) and np.all(rates <= hi))
+    if p.family == "gaussian":
+        if (np.abs(p.means) > region.c2 + m).any():
+            return False
+        eigs = np.linalg.eigvalsh(p.covs)
+        return bool((eigs[:, 0] >= lo).all() and (eigs[:, -1] <= hi).all())
+    return bool((p.rates >= lo).all() and (p.rates <= hi).all())
 
 
 def _project_into_base_region(
@@ -203,13 +217,49 @@ def init_suffstats(batch: np.ndarray, theta0: MixtureParams) -> SuffStats:
     return mean_sbar(batch, theta0)
 
 
-def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
-    """One untruncated stochastic-approximation step."""
+def _check_gamma(gamma: float) -> None:
     if not 0.0 < gamma <= 1.0:
         raise InvalidInputError(f"step size must lie in (0, 1], got {gamma}")
-    stats = state.stats.blend(mean_sbar(batch, state.theta), gamma)
-    theta = theta_bar(stats, state.theta.family_tag)
-    return replace(state, stats=stats, theta=theta, r=state.r + 1)
+
+
+def _advance(
+    stats: tuple, params: _Stacked, batch: np.ndarray, gamma: float, region: TruncationRegion | None
+) -> tuple:
+    """One step on arrays: ``(stats, params, region)`` after the step.
+
+    ``stats`` is ``(mass, moment1, moment2)``, ``params`` the factored stack
+    of its M-step image and ``batch`` a validated (n, d) matrix.  With a
+    ``region`` the step is truncated; a reset goes through :func:`reset_stat`
+    on parameter objects.
+    """
+    candidate = _blend(stats, _estep(batch, params), gamma)
+    if region is None:
+        return candidate, _mstep(candidate, params.family), None
+    try:
+        theta = _mstep(candidate, params.family)
+        inside = _inside(theta, region)
+    except (EmptyComponentError, DegenerateComponentError):
+        inside = False
+    if inside:
+        return candidate, theta, region
+    last = EmState(stats=SuffStats(*stats), theta=params.mixture(), region=region)
+    reset = reset_stat(last, batch, region)
+    stats = (reset.mass, reset.moment1, reset.moment2)
+    return stats, _mstep(stats, params.family), region.grown()
+
+
+def _step(state: EmState, batch: np.ndarray, gamma: float, region: TruncationRegion | None) -> tuple:
+    """:func:`_advance` from the objects of ``state``; validates ``batch``."""
+    data = _as_data_matrix(batch, state.theta.dim)
+    s = state.stats
+    return _advance((s.mass, s.moment1, s.moment2), _stack(state.theta), data, gamma, region)
+
+
+def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
+    """One untruncated stochastic-approximation step."""
+    _check_gamma(gamma)
+    stats, params, _ = _step(state, batch, gamma, None)
+    return replace(state, stats=SuffStats(*stats), theta=params.mixture(), r=state.r + 1)
 
 
 def truncated_minibatch_step(
@@ -221,20 +271,9 @@ def truncated_minibatch_step(
     covariance, nonpositive rate) counts as outside the region.  On reset the
     returned state carries the grown region with its event counter advanced.
     """
-    if not 0.0 < gamma <= 1.0:
-        raise InvalidInputError(f"step size must lie in (0, 1], got {gamma}")
-    family = state.theta.family_tag
-    candidate = state.stats.blend(mean_sbar(batch, state.theta), gamma)
-    try:
-        theta = theta_bar(candidate, family)
-        inside = region_contains(theta, region)
-    except (EmptyComponentError, DegenerateComponentError):
-        inside = False
-    if inside:
-        return replace(state, stats=candidate, theta=theta, r=state.r + 1, region=region)
-    stats = reset_stat(state, batch, region)
-    theta = theta_bar(stats, family)
-    return replace(state, stats=stats, theta=theta, r=state.r + 1, region=region.grown())
+    _check_gamma(gamma)
+    stats, params, region = _step(state, batch, gamma, region)
+    return replace(state, stats=SuffStats(*stats), theta=params.mixture(), r=state.r + 1, region=region)
 
 
 def reset_stat(state: EmState, batch: np.ndarray, region: TruncationRegion) -> SuffStats:
@@ -269,30 +308,32 @@ def polyak_update(theta_acc: MixtureParams | None, theta_new: MixtureParams, i: 
     """Running average of parameter iterates, element-wise per block.
 
     Uses the iterative form avg_i = ((i - 1) * avg_{i-1} + theta_i) / i, so no
-    iterate history is stored.  At i = 1 the accumulator is the new iterate.
+    iterate history is stored.  At i = 1 the accumulator is the new iterate;
+    from i = 2 on, ``theta_acc`` must be the average of iterates 1 to i - 1.
     """
     if i < 1:
         raise InvalidInputError(f"averaging index must be >= 1, got {i}")
     if i == 1:
         return theta_new
+    if theta_acc is None:
+        raise InvalidInputError(
+            f"averaging index {i} needs theta_acc, the average of iterates 1 to {i - 1}; got None"
+        )
+    return _average(_stack(theta_acc, factor=False), _stack(theta_new, factor=False), i).mixture()
+
+
+def _average(acc: _Stacked | None, new: _Stacked, i: int) -> _Stacked:
+    """:func:`polyak_update` on stacked arrays; the result is not factored."""
+    if i == 1:
+        return new
     prev = float(i - 1)
     inv = 1.0 / float(i)
-    weights = (prev * theta_acc.weights + theta_new.weights) * inv
-    if theta_new.family_tag == "gaussian":
-        comps = tuple(
-            Gaussian(
-                (prev * a.mean + b.mean) * inv,
-                (prev * a.cov + b.cov) * inv,
-            )
-            for a, b in zip(theta_acc.components, theta_new.components)
-        )
-    else:
-        cls = type(theta_new.components[0])
-        comps = tuple(
-            cls((prev * a.rate + b.rate) * inv)
-            for a, b in zip(theta_acc.components, theta_new.components)
-        )
-    return MixtureParams(weights, comps)
+    weights = (prev * acc.weights + new.weights) * inv
+    if new.family == "gaussian":
+        means = (prev * acc.means + new.means) * inv
+        covs = (prev * acc.covs + new.covs) * inv
+        return _Stacked(new.family, weights, means, covs)
+    return _Stacked(new.family, weights, rates=(prev * acc.rates + new.rates) * inv)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +392,11 @@ def run(
     draws, starting from the statistic whose M-step image is ``init``.  The
     trace is recorded at epoch boundaries.  Identical seed and config give a
     bit-identical record apart from the timing fields.
+
+    The loop works on stacked arrays (see the module docstring) and checks
+    ``data`` once.  The record equals iterating :func:`minibatch_step` or
+    :func:`truncated_minibatch_step`, and :func:`polyak_update`, on the same
+    draws, bit for bit.
     """
     data = np.asarray(data, dtype=float)
     n = data.shape[0]
@@ -365,6 +411,9 @@ def run(
         per_epoch = math.ceil(n / config.batch_size)
         if rng is None:
             rng = np.random.default_rng(config.seed)
+    # Rows of a finite (n, d) matrix need no per-batch check; anything else
+    # is checked batch by batch, so an error keeps its iteration index.
+    clean = data.ndim == 2 and data.shape[1] == init.dim and bool(np.isfinite(data).all())
 
     def draw() -> np.ndarray:
         return data if full else data[rng.integers(0, n, size=config.batch_size)]
@@ -372,9 +421,11 @@ def run(
     try:
         # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
         stats0 = stats_from_params(init) if full else init_suffstats(draw(), init)
+        params = _stack(init)
     except EstimationError as exc:
         raise EngineRunError(0, str(exc)) from exc
-    state = EmState(stats=stats0, theta=init, region=config.truncation if truncated else None)
+    stats = (stats0.mass, stats0.moment1, stats0.moment2)
+    region = config.truncation if truncated else None
     total = config.epochs * per_epoch
     acc = None
     trace, polyak_trace, iterates = [], [], []
@@ -382,27 +433,29 @@ def run(
         batch = draw()
         gamma = 1.0 if full else config.learning_rate.at(r)
         try:
-            if truncated:
-                state = truncated_minibatch_step(state, batch, gamma, state.region)
-            else:
-                state = minibatch_step(state, batch, gamma)
+            if not clean:
+                batch = _as_data_matrix(batch, init.dim)
+            stats, params, region = _advance(stats, params, batch, gamma, region)
         except EstimationError as exc:
             raise EngineRunError(r, str(exc)) from exc
         if config.polyak:
-            acc = polyak_update(acc, state.theta, r)
+            acc = _average(acc, params, r)
+        boundary = r % per_epoch == 0
+        theta = params.mixture() if keep_iterates or boundary else None
         if keep_iterates:
-            iterates.append(state.theta)
-        if r % per_epoch == 0:
-            trace.append(state.theta)
+            iterates.append(theta)
+        if boundary:
+            trace.append(theta)
             if config.polyak:
-                polyak_trace.append(acc)
+                polyak_trace.append(acc.mixture())
+    # The last iteration ends an epoch, so the trace holds the final iterates.
     return RunRecord(
-        final_theta=state.theta,
-        polyak_theta=acc,
+        final_theta=trace[-1],
+        polyak_theta=polyak_trace[-1] if config.polyak else None,
         trace=trace,
         polyak_trace=polyak_trace,
         iterations=total,
-        truncation_events=state.region.events if truncated else 0,
+        truncation_events=region.events if truncated else 0,
         wall_time=time.perf_counter() - wall0,
         cpu_time=time.process_time() - cpu0,
         iterates=iterates if keep_iterates else None,

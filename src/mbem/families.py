@@ -26,16 +26,23 @@ and
 where tau_z is the posterior component probability.  Rate-family M-steps are
 the weighted maximum-likelihood solutions: rate = s1/s2 (exponential) and
 rate = s2/s1 (Poisson).
+
+Both maps are thin wrappers over array kernels that the engine's hot loop
+calls directly: ``_estep`` takes validated rows and a factored parameter
+stack (``_Stacked``) to the statistic blocks ``(mass, moment1, moment2)``,
+and ``_mstep`` takes those blocks to a factored stack, with one Cholesky
+factorisation per component that the next E-step reuses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from functools import lru_cache
+from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import get_lapack_funcs
 from scipy.special import gammaln
 
 from .errors import (
@@ -56,28 +63,40 @@ S1_FLOOR = 1e-12
 #: Absolute symmetry tolerance, scaled by the matrix magnitude.
 _SYM_TOL = 1e-12
 
+#: LAPACK triangular solve, the routine behind ``scipy.linalg.solve_triangular``
+#: for float64 input, called directly to skip that wrapper's per-call checks.
+_TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
+
 
 # ---------------------------------------------------------------------------
 # packed symmetric storage
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _triu(d: int) -> tuple:
+    """Row and column indices of the upper triangle of a d x d matrix (read-only, shared)."""
+    rows, cols = np.triu_indices(d)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def pack_symmetric(m: np.ndarray) -> np.ndarray:
     """Return the upper triangle of a symmetric matrix as a length d(d+1)/2 vector."""
-    d = m.shape[0]
-    iu = np.triu_indices(d)
-    return np.asarray(m, dtype=float)[iu]
+    return np.asarray(m, dtype=float)[_triu(m.shape[0])]
 
 
 def unpack_symmetric(v: np.ndarray, d: int) -> np.ndarray:
-    """Rebuild the full symmetric matrix from its packed upper triangle.
+    """Rebuild the full symmetric matrix (or a stack of them, one per row of
+    ``v``) from its packed upper triangle.
 
     The result is exactly symmetric: both triangles are written from the
     same packed entries.
     """
-    iu = np.triu_indices(d)
-    m = np.zeros((d, d))
-    m[iu] = v
-    m.T[iu] = v
+    rows, cols = _triu(d)
+    v = np.asarray(v, dtype=float)
+    m = np.zeros(v.shape[:-1] + (d, d))
+    m[..., rows, cols] = v
+    m[..., cols, rows] = v
     return m
 
 
@@ -287,15 +306,67 @@ class SuffStats:
         """
         if not 0.0 <= gamma <= 1.0:
             raise InvalidInputError(f"blend weight must lie in [0, 1], got {gamma}")
-        keep = 1.0 - gamma
-        m2 = None
-        if self.moment2 is not None:
-            m2 = keep * self.moment2 + gamma * other.moment2
-        return SuffStats(
-            keep * self.mass + gamma * other.mass,
-            keep * self.moment1 + gamma * other.moment1,
-            m2,
-        )
+        return SuffStats(*_blend((self.mass, self.moment1, self.moment2),
+                                 (other.mass, other.moment1, other.moment2), gamma))
+
+
+def _blend(s: tuple, t: tuple, gamma: float) -> tuple:
+    """(1 - gamma) * s + gamma * t, block by block, on ``(mass, moment1, moment2)``."""
+    keep = 1.0 - gamma
+    return tuple(None if a is None else keep * a + gamma * b for a, b in zip(s, t))
+
+
+# ---------------------------------------------------------------------------
+# stacked parameters: the arrays the EM kernels work on
+# ---------------------------------------------------------------------------
+
+class _Stacked(NamedTuple):
+    """A mixture parameter vector as stacked per-component arrays.
+
+    ``weights`` is (g,); Gaussian stacks carry ``means`` (g, d) and ``covs``
+    (g, d, d), rate families ``rates`` (g,).  A stack that feeds an E-step is
+    *factored*: it also holds ``log_weights`` (g,), the lower Cholesky
+    factors ``chols`` (g, d, d) and ``log_norms`` (g,) = d log 2pi + log det
+    Sigma, computed once when the stack is made.
+    """
+
+    family: str
+    weights: np.ndarray
+    means: np.ndarray | None = None
+    covs: np.ndarray | None = None
+    rates: np.ndarray | None = None
+    log_weights: np.ndarray | None = None
+    chols: np.ndarray | None = None
+    log_norms: np.ndarray | None = None
+
+    def mixture(self) -> MixtureParams:
+        """The validated parameter object with these values."""
+        if self.family == "gaussian":
+            comps = tuple(Gaussian(m, c) for m, c in zip(self.means, self.covs))
+        else:
+            cls = Exponential if self.family == "exponential" else Poisson
+            comps = tuple(cls(r) for r in self.rates)
+        return MixtureParams(self.weights, comps)
+
+
+def _log_norms(chols: np.ndarray) -> np.ndarray:
+    """d log 2pi + log det Sigma per component, from the Cholesky factors."""
+    return chols.shape[-1] * _LOG_2PI + 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _stack(theta: MixtureParams, factor: bool = True) -> _Stacked:
+    """Stacked arrays of ``theta``, factored for an E-step unless ``factor`` is false."""
+    family, w = theta.family_tag, theta.weights
+    if family != "gaussian":
+        return _Stacked(family, w, rates=theta.rates(), log_weights=np.log(w))
+    means, covs = theta.means(), theta.covariances()
+    if not factor:
+        return _Stacked(family, w, means, covs)
+    try:
+        chols = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericDomainError("singular component covariance") from exc
+    return _Stacked(family, w, means, covs, None, np.log(w), chols, _log_norms(chols))
 
 
 # ---------------------------------------------------------------------------
@@ -318,41 +389,50 @@ def _as_data_matrix(y: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
-def _component_log_density(component: Component, y: np.ndarray) -> np.ndarray:
-    """Vectorized log density of one component over the rows of ``y``."""
-    if isinstance(component, Gaussian):
-        d = component.dim
-        try:
-            chol = np.linalg.cholesky(component.cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericDomainError("singular component covariance") from exc
-        diff = y - component.mean
-        z = solve_triangular(chol, diff.T, lower=True)
-        quad = np.einsum("dn,dn->n", z, z)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
-        return -0.5 * (d * _LOG_2PI + log_det + quad)
+def _component_log_density(p: _Stacked, z: int, y: np.ndarray) -> np.ndarray:
+    """Vectorized log density of component ``z`` of a factored stack over the rows of ``y``."""
+    if p.family == "gaussian":
+        chol = p.chols[z]
+        diff = y - p.means[z]
+        # The call scipy.linalg.solve_triangular(chol, diff.T, lower=True) makes.
+        if chol.flags.f_contiguous:
+            x, _ = _TRTRS(chol, diff.T, lower=1, trans=0, overwrite_b=1)
+        else:
+            x, _ = _TRTRS(chol.T, diff.T, lower=0, trans=1, overwrite_b=1)
+        quad = np.einsum("dn,dn->n", x, x)
+        return -0.5 * (p.log_norms[z] + quad)
     x = y[:, 0]
-    if isinstance(component, Exponential):
-        out = np.where(x >= 0.0, math.log(component.rate) - component.rate * x, -np.inf)
-        return out
-    if isinstance(component, Poisson):
-        # Support is the nonnegative integers; gammaln would accept any x > -1.
-        lam = component.rate
-        support = (x >= 0.0) & (x == np.floor(x))
-        with np.errstate(invalid="ignore"):
-            out = np.where(support, x * math.log(lam) - lam - gammaln(x + 1.0), -np.inf)
-        return out
-    raise InvalidInputError(f"unsupported component type {type(component).__name__}")
+    rate = float(p.rates[z])
+    if p.family == "exponential":
+        return np.where(x >= 0.0, math.log(rate) - rate * x, -np.inf)
+    # Poisson support is the nonnegative integers; gammaln would accept any x > -1.
+    support = (x >= 0.0) & (x == np.floor(x))
+    with np.errstate(invalid="ignore"):
+        return np.where(support, x * math.log(rate) - rate - gammaln(x + 1.0), -np.inf)
+
+
+def _log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
+    """(n, g) matrix of log pi_z + log f(y_i; omega_z) at a factored stack."""
+    lw = np.empty((y.shape[0], p.weights.shape[0]))
+    for z in range(lw.shape[1]):
+        lw[:, z] = p.log_weights[z] + _component_log_density(p, z, y)
+    return lw
 
 
 def _log_weighted_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
-    """(n, g) matrix of log pi_z + log f(y_i; omega_z)."""
-    log_w = np.log(theta.weights)
-    cols = [
-        log_w[z] + _component_log_density(theta.components[z], y)
-        for z in range(theta.g)
-    ]
-    return np.column_stack(cols)
+    """:func:`_log_weighted` at a parameter object."""
+    return _log_weighted(y, _stack(theta))
+
+
+def _responsibilities(y: np.ndarray, p: _Stacked) -> np.ndarray:
+    """(n, g) posterior component probabilities of validated rows ``y``."""
+    lw = _log_weighted(y, p)
+    top = lw.max(axis=1)
+    if not np.isfinite(top).all():
+        raise DegeneratePointError("observation has zero density under every component")
+    tau = np.exp(lw - top[:, None])
+    tau /= tau.sum(axis=1)[:, None]
+    return tau
 
 
 def log_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
@@ -383,19 +463,29 @@ def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Raises :class:`DegeneratePointError` if some observation has zero density
     under every component.
     """
-    data = _as_data_matrix(y, theta.dim)
-    lw = _log_weighted_densities(data, theta)
-    top = lw.max(axis=1)
-    if not np.all(np.isfinite(top)):
-        raise DegeneratePointError("observation has zero density under every component")
-    tau = np.exp(lw - top[:, None])
-    tau /= tau.sum(axis=1)[:, None]
-    return tau
+    return _responsibilities(_as_data_matrix(y, theta.dim), _stack(theta))
 
 
 # ---------------------------------------------------------------------------
 # E-step map: conditional expectation of the sufficient statistic
 # ---------------------------------------------------------------------------
+
+def _estep(y: np.ndarray, p: _Stacked) -> tuple:
+    """E-step kernel: ``(mass, moment1, moment2)`` averaged over validated
+    rows ``y`` at a factored stack (``moment2`` is None for rate families)."""
+    n, d = y.shape
+    tau = _responsibilities(y, p)
+    mass = tau.mean(axis=0)
+    moment1 = tau.T @ y / n
+    if p.family != "gaussian":
+        return mass, moment1, None
+    iu = _triu(d)
+    moment2 = np.empty((tau.shape[1], d * (d + 1) // 2))
+    for z in range(tau.shape[1]):
+        scatter = (tau[:, z : z + 1] * y).T @ y / n
+        moment2[z] = scatter[iu]
+    return mass, moment1, moment2
+
 
 def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
     """Average of the per-observation statistic map over the rows of ``y``.
@@ -404,23 +494,70 @@ def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
     full data set.  Total mass sums to one because responsibilities do.
     """
     data = _as_data_matrix(y, theta.dim)
-    n, d = data.shape
-    tau = responsibilities_batch(data, theta)
-    mass = tau.mean(axis=0)
-    moment1 = tau.T @ data / n
-    if theta.family_tag != "gaussian":
-        return SuffStats(mass, moment1, None)
-    iu = np.triu_indices(d)
-    moment2 = np.empty((theta.g, d * (d + 1) // 2))
-    for z in range(theta.g):
-        scatter = (tau[:, z : z + 1] * data).T @ data / n
-        moment2[z] = scatter[iu]
-    return SuffStats(mass, moment1, moment2)
+    return SuffStats(*_estep(data, _stack(theta)))
 
 
 # ---------------------------------------------------------------------------
 # M-step map
 # ---------------------------------------------------------------------------
+
+def _cholesky_or_raise(covs: np.ndarray) -> np.ndarray:
+    """Stacked lower Cholesky factors of the M-step covariances.
+
+    On failure, raises :class:`DegenerateCovarianceError` naming the first
+    component that is non-finite or not positive definite.
+    """
+    if np.isfinite(covs).all():
+        try:
+            return np.linalg.cholesky(covs)
+        except np.linalg.LinAlgError:
+            pass
+    chols = np.empty_like(covs)
+    for z, cov in enumerate(covs):
+        if not np.all(np.isfinite(cov)):
+            raise DegenerateCovarianceError(f"component {z} covariance is not finite")
+        try:
+            chols[z] = np.linalg.cholesky(cov)
+        except np.linalg.LinAlgError as exc:
+            raise DegenerateCovarianceError(
+                f"component {z} covariance has a nonpositive eigenvalue"
+            ) from exc
+    return chols
+
+
+def _mstep(stats: tuple, family: str) -> _Stacked:
+    """M-step kernel: the factored stack maximizing the objective at
+    ``(mass, moment1, moment2)``; raises as :func:`theta_bar` does."""
+    mass, moment1, moment2 = stats
+    if not np.isfinite(mass).all():
+        raise InvalidInputError("non-finite statistic mass")
+    if (mass <= S1_FLOOR).any():
+        z = int(np.argmin(mass))
+        raise EmptyComponentError(f"component {z} mass {mass[z]:.3e} at or below floor {S1_FLOOR}")
+    weights = mass / mass.sum()
+
+    if family == "gaussian":
+        means = moment1 / mass[:, None]
+        covs = (
+            unpack_symmetric(moment2, moment1.shape[1]) / mass[:, None, None]
+            - means[:, :, None] * means[:, None, :]
+        )
+        chols = _cholesky_or_raise(covs)
+        return _Stacked(family, weights, means, covs, None, np.log(weights), chols, _log_norms(chols))
+
+    second = moment1[:, 0]
+    if family == "exponential":
+        # Weighted MLE of the rate: maximizes s1*log(rate) - rate*s2.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rates = mass / second
+    else:
+        # Weighted MLE of the Poisson rate: maximizes s2*log(rate) - rate*s1.
+        rates = second / mass
+    if (~np.isfinite(rates)).any() or (rates <= 0.0).any():
+        z = int(np.argmin(np.where(np.isfinite(rates), rates, -np.inf)))
+        raise DegenerateComponentError(f"component {z} rate is not a positive finite number")
+    return _Stacked(family, weights, rates=rates, log_weights=np.log(weights))
+
 
 def theta_bar(stats: SuffStats, family: str) -> MixtureParams:
     """Maximizer of the statistic-linear complete-data objective.
@@ -435,46 +572,7 @@ def theta_bar(stats: SuffStats, family: str) -> MixtureParams:
     """
     if family not in _FAMILY_TAGS.values():
         raise InvalidInputError(f"unknown family tag {family!r}")
-    mass = stats.mass
-    if not np.all(np.isfinite(mass)):
-        raise InvalidInputError("non-finite statistic mass")
-    if np.any(mass <= S1_FLOOR):
-        z = int(np.argmin(mass))
-        raise EmptyComponentError(f"component {z} mass {mass[z]:.3e} at or below floor {S1_FLOOR}")
-    weights = mass / mass.sum()
-
-    if family == "gaussian":
-        d = stats.dim
-        means = stats.moment1 / mass[:, None]
-        comps = []
-        for z in range(stats.g):
-            scatter = unpack_symmetric(stats.moment2[z], d) / mass[z]
-            cov = scatter - np.outer(means[z], means[z])
-            if not np.all(np.isfinite(cov)):
-                raise DegenerateCovarianceError(f"component {z} covariance is not finite")
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError as exc:
-                raise DegenerateCovarianceError(
-                    f"component {z} covariance has a nonpositive eigenvalue"
-                ) from exc
-            comps.append(Gaussian(means[z], cov))
-        return MixtureParams(weights, tuple(comps))
-
-    second = stats.moment1[:, 0]
-    if family == "exponential":
-        # Weighted MLE of the rate: maximizes s1*log(rate) - rate*s2.
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rates = mass / second
-        cls = Exponential
-    else:
-        # Weighted MLE of the Poisson rate: maximizes s2*log(rate) - rate*s1.
-        rates = second / mass
-        cls = Poisson
-    if np.any(~np.isfinite(rates)) or np.any(rates <= 0.0):
-        z = int(np.argmin(np.where(np.isfinite(rates), rates, -np.inf)))
-        raise DegenerateComponentError(f"component {z} rate is not a positive finite number")
-    return MixtureParams(weights, tuple(cls(r) for r in rates))
+    return _mstep((stats.mass, stats.moment1, stats.moment2), family).mixture()
 
 
 def stats_from_params(theta: MixtureParams) -> SuffStats:

@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mbem.data import random_partition_init
+from mbem.data import random_partition_init, read_labeled_csv, template_from_labeled_data
 from mbem.engine import (
     DEFAULT_LEARNING_RATE,
     EmState,
@@ -391,6 +392,13 @@ def test_polyak_equals_mean_of_trace(rng):
     )
 
 
+def test_polyak_missing_accumulator_is_invalid_input(rng):
+    theta = make_gaussian_mixture(rng, 2, 2)
+    for i in (2, 5):
+        with pytest.raises(InvalidInputError, match="theta_acc"):
+            polyak_update(None, theta, i)
+
+
 def test_polyak_rate_family():
     a = MixtureParams([0.5, 0.5], (Poisson(1.0), Poisson(2.0)))
     b = MixtureParams([0.25, 0.75], (Poisson(3.0), Poisson(6.0)))
@@ -519,3 +527,81 @@ def test_run_batch_size_validation(rng):
         RunConfig(algorithm="minibatch", epochs=1, batch_size=None)
     with pytest.raises(InvalidInputError):
         RunConfig(algorithm="nonsense", epochs=1)
+
+
+IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
+
+
+def _replay(data, cfg, init):
+    """Iterate the public steps on the draws ``run`` makes: (iterates, averages, last state)."""
+    rng = np.random.default_rng(cfg.seed)
+    n = len(data)
+
+    def draw():
+        return data[rng.integers(0, n, size=cfg.batch_size)]
+
+    truncated = cfg.algorithm == "truncated-minibatch"
+    region = cfg.truncation if truncated else None
+    state = EmState(stats=init_suffstats(draw(), init), theta=init, region=region)
+    acc, iterates, averages = None, [], []
+    for r in range(1, cfg.epochs * math.ceil(n / cfg.batch_size) + 1):
+        batch, gamma = draw(), cfg.learning_rate.at(r)
+        if truncated:
+            state = truncated_minibatch_step(state, batch, gamma, state.region)
+        else:
+            state = minibatch_step(state, batch, gamma)
+        iterates.append(state.theta)
+        if cfg.polyak:
+            acc = polyak_update(acc, state.theta, r)
+            averages.append(acc)
+    return iterates, averages, state
+
+
+def _iris_case(algorithm, polyak):
+    rng = np.random.default_rng(11)
+    template = template_from_labeled_data(*read_labeled_csv(IRIS_CSV))
+    data, _ = sample(template, 600, rng)
+    init = random_partition_init(data, 3, rng)
+    # batch size 1 makes the truncated run reset; untruncated EM needs a
+    # full-rank first statistic, so it gets larger batches
+    batch = 1 if algorithm == "truncated-minibatch" else 20
+    return data, RunConfig(algorithm=algorithm, epochs=2, batch_size=batch, polyak=polyak, seed=5), init
+
+
+def _poisson_case(algorithm, polyak):
+    truth = MixtureParams([0.4, 0.6], (Poisson(2.0), Poisson(15.0)))
+    data, _ = sample(truth, 300, np.random.default_rng(3))
+    init = MixtureParams([0.5, 0.5], (Poisson(1.0), Poisson(5.0)))
+    # the rate box [1/(3+m), 3+m] excludes rate 15 until m has grown
+    region = TruncationRegion(20.0, 2.0, 3.0)
+    cfg = RunConfig(algorithm=algorithm, epochs=2, batch_size=4, polyak=polyak, truncation=region, seed=7)
+    return data, cfg, init
+
+
+@pytest.mark.parametrize("polyak", [False, True], ids=["plain", "polyak"])
+@pytest.mark.parametrize("algorithm", ["minibatch", "truncated-minibatch"])
+@pytest.mark.parametrize("case", [_iris_case, _poisson_case], ids=["gaussian", "poisson"])
+def test_run_is_iterated_public_steps(case, algorithm, polyak):
+    # run() iterates on stacked arrays; every record entry must equal the
+    # object-level steps replayed on the same draws, bit for bit
+    data, cfg, init = case(algorithm, polyak)
+    rec = run(data, cfg, init, keep_iterates=True)
+    iterates, averages, state = _replay(data, cfg, init)
+    per_epoch = math.ceil(len(data) / cfg.batch_size)
+    assert rec.iterations == len(rec.iterates) == len(iterates)
+    assert all(_params_equal(a, b) for a, b in zip(rec.iterates, iterates))
+    assert len(rec.trace) == cfg.epochs
+    assert all(_params_equal(a, b) for a, b in zip(rec.trace, iterates[per_epoch - 1 :: per_epoch]))
+    assert _params_equal(rec.final_theta, state.theta)
+    if polyak:
+        assert len(rec.polyak_trace) == cfg.epochs
+        assert all(
+            _params_equal(a, b) for a, b in zip(rec.polyak_trace, averages[per_epoch - 1 :: per_epoch])
+        )
+        assert _params_equal(rec.polyak_theta, averages[-1])
+    else:
+        assert rec.polyak_theta is None and rec.polyak_trace == []
+    truncated = algorithm == "truncated-minibatch"
+    assert rec.truncation_events == (state.region.events if truncated else 0)
+    if truncated:
+        assert rec.truncation_events > 0

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
+from scipy.special import gammaln
 
 from mbem.errors import (
     DegenerateComponentError,
@@ -17,6 +19,7 @@ from mbem.families import (
     MixtureParams,
     Poisson,
     SuffStats,
+    log_densities,
     log_density,
     mean_sbar,
     pack_symmetric,
@@ -28,6 +31,7 @@ from mbem.families import (
     theta_bar,
     unpack_symmetric,
 )
+from mbem.families import _blend, _estep, _stack
 
 from conftest import make_gaussian_mixture
 
@@ -318,6 +322,123 @@ def test_convex_combination_stays_valid(seed, gamma):
     except (EmptyComponentError, DegenerateCovarianceError):
         return  # combination landed on a boundary case; nothing to check
     assert t.weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.integers(1, 10), st.integers(1, 5))
+def test_blend_preserves_total_mass(seed, gamma, g, d):
+    rng = np.random.default_rng(seed)
+
+    def unit_mass_stats():
+        return SuffStats(rng.dirichlet(np.ones(g)), rng.normal(0, 3, (g, d)),
+                         rng.normal(0, 3, (g, d * (d + 1) // 2)))
+
+    a, b = unit_mass_stats(), unit_mass_stats()
+    mixed = a.blend(b, gamma)
+    assert abs(mixed.mass.sum() - 1.0) <= 1e-12
+    kernel = _blend((a.mass, a.moment1, a.moment2), (b.mass, b.moment1, b.moment2), gamma)
+    for block, expected in zip((mixed.mass, mixed.moment1, mixed.moment2), kernel):
+        assert np.array_equal(block, expected)
+
+
+def _reference_log_weighted(y, theta):
+    """Per-component log pi_z + log f(y; omega_z): a fresh Cholesky factor and
+    scipy's solve_triangular per component and call, columns stacked."""
+    cols = []
+    for log_w, comp in zip(np.log(theta.weights), theta.components):
+        x = y[:, 0]
+        if isinstance(comp, Gaussian):
+            chol = np.linalg.cholesky(comp.cov)
+            z = solve_triangular(chol, (y - comp.mean).T, lower=True)
+            log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
+            dens = -0.5 * (comp.dim * math.log(2.0 * math.pi) + log_det + np.einsum("dn,dn->n", z, z))
+        elif isinstance(comp, Exponential):
+            dens = np.where(x >= 0.0, math.log(comp.rate) - comp.rate * x, -np.inf)
+        else:
+            support = (x >= 0.0) & (x == np.floor(x))
+            dens = np.where(support, x * math.log(comp.rate) - comp.rate - gammaln(x + 1.0), -np.inf)
+        cols.append(log_w + dens)
+    return np.column_stack(cols)
+
+
+def _reference_sbar(y, theta):
+    lw = _reference_log_weighted(y, theta)
+    tau = np.exp(lw - lw.max(axis=1)[:, None])
+    tau /= tau.sum(axis=1)[:, None]
+    n, d = y.shape
+    mass, moment1 = tau.mean(axis=0), tau.T @ y / n
+    if theta.family_tag != "gaussian":
+        return mass, moment1, None
+    iu = np.triu_indices(d)
+    return mass, moment1, np.stack([((tau[:, z : z + 1] * y).T @ y / n)[iu] for z in range(theta.g)])
+
+
+def _reference_theta_bar(mass, moment1, moment2):
+    """Gaussian M-step, one component at a time."""
+    d = moment1.shape[1]
+    iu = np.triu_indices(d)
+    means = moment1 / mass[:, None]
+    covs = []
+    for z in range(len(mass)):
+        scatter = np.zeros((d, d))
+        scatter[iu] = moment2[z]
+        scatter.T[iu] = moment2[z]
+        covs.append(scatter / mass[z] - np.outer(means[z], means[z]))
+    return mass / mass.sum(), means, np.stack(covs)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("family", ["gaussian-1", "gaussian-3", "exponential", "poisson"])
+def test_stacked_kernels_equal_per_component_reference(family, seed):
+    # the stacked E-/M-step kernels keep the per-component arithmetic order,
+    # so they reproduce it bit for bit
+    rng = np.random.default_rng(seed)
+    if family.startswith("gaussian"):
+        theta = make_gaussian_mixture(rng, int(family[-1]), 3)
+    else:
+        cls = Exponential if family == "exponential" else Poisson
+        theta = MixtureParams([0.3, 0.7], (cls(float(rng.uniform(0.5, 2))), cls(float(rng.uniform(3, 9)))))
+    y, _ = sample(theta, 40, rng)
+    expected = _reference_sbar(y, theta)
+    stats = mean_sbar(y, theta)
+    for got in (_estep(y, _stack(theta)), (stats.mass, stats.moment1, stats.moment2)):
+        for block, ref in zip(got, expected):
+            assert (block is None and ref is None) or np.array_equal(block, ref)
+    if family.startswith("gaussian"):
+        weights, means, covs = _reference_theta_bar(*expected)
+        t = theta_bar(SuffStats(*expected), "gaussian")
+        assert np.array_equal(t.weights, weights)
+        assert np.array_equal(t.means(), means)
+        assert np.array_equal(t.covariances(), covs)
+
+
+def _ill_conditioned_mixture(rng, d, g, smallest):
+    """Gaussian mixture whose covariances span eigenvalues [smallest, 10]."""
+    comps = []
+    for _ in range(g):
+        q, _ = np.linalg.qr(rng.normal(0, 1, (d, d)))
+        eigs = np.exp(rng.uniform(math.log(smallest), math.log(10.0), d))
+        eigs[0] = smallest
+        cov = (q * eigs) @ q.T
+        comps.append(Gaussian(rng.normal(0, 1, d), (cov + cov.T) / 2.0))
+    return MixtureParams(np.full(g, 1.0 / g), tuple(comps))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4), st.floats(-8.0, 0.0))
+def test_log_space_paths_finite_at_d50_near_singular(seed, g, log10_smallest):
+    rng = np.random.default_rng(seed)
+    theta = _ill_conditioned_mixture(rng, 50, g, 10.0**log10_smallest)
+    near, _ = sample(theta, 20, rng)
+    y = np.vstack([near, rng.normal(0, 3, (20, 50))])
+    logf = log_densities(y, theta)
+    assert np.all(np.isfinite(logf))
+    tau = responsibilities_batch(y, theta)
+    assert np.all(np.isfinite(tau)) and np.all(tau >= 0.0)
+    np.testing.assert_allclose(tau.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    mass, moment1, moment2 = _estep(y, _stack(theta))
+    assert abs(mass.sum() - 1.0) <= 1e-12
+    assert np.all(np.isfinite(moment1)) and np.all(np.isfinite(moment2))
 
 
 def test_stats_from_params_inverts_theta_bar(rng):
