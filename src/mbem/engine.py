@@ -416,7 +416,7 @@ def run(
     clean = data.ndim == 2 and data.shape[1] == init.dim and bool(np.isfinite(data).all())
 
     def draw() -> np.ndarray:
-        return data if full else data[rng.integers(0, n, size=config.batch_size)]
+        return data if full else data.take(rng.integers(0, n, size=config.batch_size), axis=0)
 
     try:
         # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).

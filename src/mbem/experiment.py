@@ -31,14 +31,8 @@ from .data import (
 )
 from .engine import DEFAULT_LEARNING_RATE, LearningRate, RunConfig, TruncationRegion, run
 from .errors import EngineRunError, EstimationError, InvalidInputError
-from .families import MixtureParams, params_from_dict, params_to_dict, sample
-from .metrics import (
-    MetricReport,
-    adjusted_rand_index,
-    dataset_loglik,
-    map_labels,
-    squared_error,
-)
+from .families import MixtureParams, _log_weighted_rows, params_from_dict, params_to_dict, sample
+from .metrics import MetricReport, _loglik, _map_labels, adjusted_rand_index, squared_error
 
 _MASK64 = (1 << 64) - 1
 
@@ -232,13 +226,16 @@ def _init_worker(data, labels, theta_true):
 
 
 def _evaluate(theta, data, labels, theta_true, runtime: float) -> MetricReport:
-    loglik = dataset_loglik(data, theta)
+    # One density pass at theta gives both the log-likelihood and the MAP
+    # labels; they equal dataset_loglik and map_labels bit for bit.
+    rows = _log_weighted_rows(data, theta)
+    loglik = _loglik(rows)
     se = float("nan")
     if theta_true is not None and theta_true.g == theta.g and theta_true.dim == theta.dim:
         se = squared_error(theta, theta_true)
     ari = float("nan")
     if labels is not None:
-        ari = adjusted_rand_index(map_labels(data, theta), labels)
+        ari = adjusted_rand_index(_map_labels(rows), labels)
     return MetricReport(loglik=loglik, se=se, ari=ari, runtime_seconds=runtime)
 
 

@@ -424,15 +424,48 @@ def _log_weighted_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     return _log_weighted(y, _stack(theta))
 
 
-def _responsibilities(y: np.ndarray, p: _Stacked) -> np.ndarray:
-    """(n, g) posterior component probabilities of validated rows ``y``."""
-    lw = _log_weighted(y, p)
-    top = lw.max(axis=1)
+def _row_max(lw: np.ndarray) -> np.ndarray:
+    """Row maximum of an (n, g) matrix, taken column by column.
+
+    Equal to ``lw.max(axis=1)`` bit for bit (NaN propagates the same way),
+    without numpy's per-row overhead on a short reduction axis.
+    """
+    top = lw[:, 0].copy()
+    for z in range(1, lw.shape[1]):
+        np.maximum(top, lw[:, z], out=top)
+    return top
+
+
+def _log_sum_exp(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Row log-sum-exp of ``lw`` given its row maximum ``top``; -inf where
+    ``top`` is not finite."""
+    finite = np.isfinite(top)
+    shift = np.where(finite, top, 0.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        out = shift + np.log(np.exp(lw - shift[:, None]).sum(axis=1))
+    out[~finite] = -np.inf
+    return out
+
+
+def _normalise(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Rows of ``exp(lw)`` scaled to sum to one, given the row maximum ``top``.
+
+    Raises :class:`DegeneratePointError` if some row has zero density under
+    every component.
+    """
     if not np.isfinite(top).all():
         raise DegeneratePointError("observation has zero density under every component")
     tau = np.exp(lw - top[:, None])
     tau /= tau.sum(axis=1)[:, None]
     return tau
+
+
+def _log_weighted_rows(y: np.ndarray, theta: MixtureParams) -> tuple:
+    """Validate ``y`` and return the (n, g) :func:`_log_weighted` matrix at
+    ``theta`` with its row maximum: one density pass that both the
+    log-sum-exp and the normalised rows can be read from."""
+    lw = _log_weighted_densities(_as_data_matrix(y, theta.dim), theta)
+    return lw, _row_max(lw)
 
 
 def log_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
@@ -441,15 +474,7 @@ def log_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Returns -inf where every component assigns zero density; raises
     :class:`InvalidInputError` on non-finite coordinates.
     """
-    data = _as_data_matrix(y, theta.dim)
-    lw = _log_weighted_densities(data, theta)
-    top = lw.max(axis=1)
-    finite = np.isfinite(top)
-    shift = np.where(finite, top, 0.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = shift + np.log(np.exp(lw - shift[:, None]).sum(axis=1))
-    out[~finite] = -np.inf
-    return out
+    return _log_sum_exp(*_log_weighted_rows(y, theta))
 
 
 def log_density(y: np.ndarray, theta: MixtureParams) -> float:
@@ -463,7 +488,7 @@ def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Raises :class:`DegeneratePointError` if some observation has zero density
     under every component.
     """
-    return _responsibilities(_as_data_matrix(y, theta.dim), _stack(theta))
+    return _normalise(*_log_weighted_rows(y, theta))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +499,8 @@ def _estep(y: np.ndarray, p: _Stacked) -> tuple:
     """E-step kernel: ``(mass, moment1, moment2)`` averaged over validated
     rows ``y`` at a factored stack (``moment2`` is None for rate families)."""
     n, d = y.shape
-    tau = _responsibilities(y, p)
+    lw = _log_weighted(y, p)
+    tau = _normalise(lw, _row_max(lw))
     mass = tau.mean(axis=0)
     moment1 = tau.T @ y / n
     if p.family != "gaussian":

@@ -12,7 +12,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
-from .families import MixtureParams, log_densities, responsibilities_batch
+from .families import MixtureParams, _log_sum_exp, _log_weighted_rows, _normalise
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def dataset_loglik(data: np.ndarray, theta: MixtureParams) -> float:
     data = np.asarray(data, dtype=float)
     if data.shape[0] < 1:
         raise InvalidInputError("need at least one observation")
-    return math.fsum(log_densities(data, theta).tolist())
+    return _loglik(_log_weighted_rows(data, theta))
 
 
 def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:
@@ -49,8 +49,20 @@ def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:
 
     Ties break toward the lowest component index.
     """
-    tau = responsibilities_batch(data, theta)
-    return np.argmax(tau, axis=1)
+    return _map_labels(_log_weighted_rows(data, theta))
+
+
+# Both read the (log-weighted matrix, row maximum) pair of
+# ``families._log_weighted_rows``, so one density pass can serve both.
+
+def _loglik(rows: tuple) -> float:
+    """:func:`dataset_loglik` from a log-weighted density pass."""
+    return math.fsum(_log_sum_exp(*rows).tolist())
+
+
+def _map_labels(rows: tuple) -> np.ndarray:
+    """:func:`map_labels` from a log-weighted density pass."""
+    return np.argmax(_normalise(*rows), axis=1)
 
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:

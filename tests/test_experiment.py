@@ -18,6 +18,7 @@ from mbem.experiment import (
     TemplateSource,
     ThetaSource,
     VariantSpec,
+    _evaluate,
     _init_worker,
     _run_task,
     derive_seed,
@@ -29,8 +30,9 @@ from mbem.experiment import (
     write_results_csv,
     write_summary,
 )
-from mbem.families import Gaussian, MixtureParams, params_to_dict
-from mbem.metrics import dataset_loglik
+from mbem.errors import DegeneratePointError
+from mbem.families import Exponential, Gaussian, MixtureParams, params_to_dict
+from mbem.metrics import adjusted_rand_index, dataset_loglik, map_labels
 
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
 
@@ -103,17 +105,45 @@ def test_nine_variant_grid_shape():
     assert len(table.rows) == 9 * 2
 
 
-def test_single_em_row_matches_manual_run():
-    spec = _small_spec(reps=1, variants=(VariantSpec("em"),), seed=5)
+@pytest.mark.parametrize(
+    "variant", [VariantSpec("em"), VariantSpec("mb", 0.25, polyak=True)], ids=lambda v: v.vid
+)
+def test_single_em_row_matches_manual_run(variant):
+    spec = _small_spec(reps=1, variants=(variant,), seed=5)
     table = run_experiment(spec)
     assert len(table.rows) == 1
     row = table.rows[0]
-    # redo the run from the derived seeds: the recorded loglik must match bit for bit
+    # redo the run from the derived seeds: the recorded loglik and ARI must
+    # match the public metrics bit for bit
     data, labels, theta_true = resolve_source(spec)
     init = random_partition_init(data, 3, np.random.default_rng(derive_seed(5, "init", 0)))
-    rec = run(data, RunConfig(algorithm="batch", epochs=3, seed=derive_seed(5, "em", 0)), init)
-    assert row.loglik == dataset_loglik(data, rec.final_theta)
+    if variant.algorithm == "em":
+        config = RunConfig(algorithm="batch", epochs=3, seed=derive_seed(5, "em", 0))
+    else:
+        config = RunConfig(
+            algorithm="minibatch", epochs=3, batch_size=len(data) // 4, polyak=True,
+            seed=derive_seed(5, variant.vid, 0),
+        )
+    rec = run(data, config, init)
+    theta = rec.polyak_theta if variant.polyak else rec.final_theta
+    assert row.status == "ok"
+    assert row.loglik == dataset_loglik(data, theta)
     assert row.loglik_per_obs == row.loglik / len(data)
+    assert row.ari == adjusted_rand_index(map_labels(data, theta), labels)
+
+
+def test_evaluate_zero_density_row():
+    # a negative observation has zero density under every exponential
+    # component: the log-likelihood is -inf, and only a labelled source asks
+    # for MAP labels, which then fail
+    theta = MixtureParams([0.5, 0.5], (Exponential(1.0), Exponential(3.0)))
+    data = np.array([[0.5], [-1.0], [2.0]])
+    with pytest.raises(DegeneratePointError):
+        _evaluate(theta, data, np.array([0, 1, 0]), theta, 0.0)
+    report = _evaluate(theta, data, None, theta, 0.0)
+    assert report.loglik == -math.inf == dataset_loglik(data, theta)
+    assert report.se == 0.0
+    assert math.isnan(report.ari)
 
 
 def test_shared_initialization_across_variants():

@@ -31,7 +31,7 @@ from mbem.families import (
     theta_bar,
     unpack_symmetric,
 )
-from mbem.families import _blend, _estep, _stack
+from mbem.families import _blend, _estep, _row_max, _stack
 
 from conftest import make_gaussian_mixture
 
@@ -388,13 +388,15 @@ def _reference_theta_bar(mass, moment1, moment2):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-@pytest.mark.parametrize("family", ["gaussian-1", "gaussian-3", "exponential", "poisson"])
+@pytest.mark.parametrize("family", ["gaussian-1", "gaussian-3", "gaussian-3x10", "exponential", "poisson"])
 def test_stacked_kernels_equal_per_component_reference(family, seed):
     # the stacked E-/M-step kernels keep the per-component arithmetic order,
-    # so they reproduce it bit for bit
+    # so they reproduce it bit for bit; "gaussian-dxg" sets g (default 3),
+    # and g >= 8 is where numpy's row sums turn pairwise
     rng = np.random.default_rng(seed)
     if family.startswith("gaussian"):
-        theta = make_gaussian_mixture(rng, int(family[-1]), 3)
+        d, _, g = family.removeprefix("gaussian-").partition("x")
+        theta = make_gaussian_mixture(rng, int(d), int(g or 3))
     else:
         cls = Exponential if family == "exponential" else Poisson
         theta = MixtureParams([0.3, 0.7], (cls(float(rng.uniform(0.5, 2))), cls(float(rng.uniform(3, 9)))))
@@ -410,6 +412,24 @@ def test_stacked_kernels_equal_per_component_reference(family, seed):
         assert np.array_equal(t.weights, weights)
         assert np.array_equal(t.means(), means)
         assert np.array_equal(t.covariances(), covs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.integers(1, 12),
+    st.integers(0, 10_000),
+    st.sampled_from([-np.inf, np.inf, np.nan]),
+    st.floats(0.0, 0.5),
+)
+def test_row_max_equals_numpy_row_max(n, g, seed, special, share):
+    # the column-by-column row maximum is exact, so it matches numpy's
+    # reduction bit for bit, including rows with infinities and NaN
+    rng = np.random.default_rng(seed)
+    lw = rng.normal(0.0, 50.0, (n, g))
+    lw[rng.random((n, g)) < share] = special
+    lw[rng.random((n, g)) < share / 2] = rng.choice([-np.inf, np.inf, np.nan])
+    assert np.array_equal(_row_max(lw), lw.max(axis=1), equal_nan=True)
 
 
 def _ill_conditioned_mixture(rng, d, g, smallest):
