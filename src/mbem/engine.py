@@ -15,10 +15,12 @@ region and grows the region index by one.
 ``(mass, moment1, moment2)`` and the parameter stack of
 :mod:`mbem.families` (weights, means, covariances, their Cholesky factors
 and log normalisers, or rates).  Each M-step factorises once and the next
-E-step reuses that factor.  ``MixtureParams`` objects are built only at
-epoch boundaries (the trace), with ``keep_iterates``, for the returned
-results and on truncation resets.  The public step functions wrap the same
-array step.
+E-step reuses that factor.  A truncation reset (``_reset``) projects the
+stack into the base region (``_project``) and rebuilds the statistic from
+it, also on arrays, and hands back the factored M-step image it tested.
+``MixtureParams`` objects are built only at epoch boundaries (the trace),
+with ``keep_iterates`` and for the returned results.  The public step
+functions and :func:`reset_stat` wrap the same array maps.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from .errors import (
     TruncationError,
 )
 from .families import (
-    Gaussian,
     MixtureParams,
     SuffStats,
     _as_data_matrix,
@@ -47,8 +48,8 @@ from .families import (
     _mstep,
     _stack,
     _Stacked,
+    _stats,
     mean_sbar,
-    stats_from_params,
     theta_bar,
 )
 
@@ -118,7 +119,7 @@ class TruncationRegion:
 
 def region_contains(theta: MixtureParams, region: TruncationRegion) -> bool:
     """Membership test of a parameter vector in the region at its current index."""
-    return _inside(_stack(theta, factor=False), region)
+    return _inside(_stack(theta), region)
 
 
 def _inside(p: _Stacked, region: TruncationRegion) -> bool:
@@ -135,21 +136,20 @@ def _inside(p: _Stacked, region: TruncationRegion) -> bool:
     return bool((p.rates >= lo).all() and (p.rates <= hi).all())
 
 
-def _project_into_base_region(
-    theta: MixtureParams, region: TruncationRegion, margin: float = 0.0
-) -> MixtureParams:
-    """Project a parameter vector into the base (m = 0) region.
+def _project(p: _Stacked, region: TruncationRegion, margin: float = 0.0) -> _Stacked:
+    """Project a parameter stack into the base (m = 0) region.
 
     Weights are floored and rebalanced on the simplex, mean coordinates are
     clipped, and covariance eigenvalues (or rates) are clipped.  Parameters
     already inside the region are returned unchanged, bit for bit.  A small
     ``margin`` shrinks the target region slightly so that rebuilding the
-    statistic cannot round the image back outside.
+    statistic cannot round the image back outside.  The result is not
+    factored.
     """
     floor = (1.0 + margin) / region.c1
-    w = theta.weights
-    if np.any(w < floor):
-        if theta.g * floor > 1.0:
+    w = p.weights
+    if (w < floor).any():
+        if w.shape[0] * floor > 1.0:
             raise TruncationError("weight floor is infeasible for this component count")
         lifted = np.maximum(w, floor)
         surplus = lifted.sum() - 1.0
@@ -157,28 +157,19 @@ def _project_into_base_region(
         w = lifted - surplus * slack / slack.sum()
     hi_mean = region.c2 * (1.0 - margin)
     lo_eig, hi_eig = (1.0 + margin) / region.c3, region.c3 * (1.0 - margin)
-    if theta.family_tag == "gaussian":
-        comps = []
-        for comp in theta.components:
-            mean = comp.mean
-            if np.any(np.abs(mean) > hi_mean):
-                mean = np.clip(mean, -hi_mean, hi_mean)
-            cov = comp.cov
-            eigs = np.linalg.eigvalsh(cov)
-            if eigs[0] < lo_eig or eigs[-1] > hi_eig:
-                vals, vecs = np.linalg.eigh(cov)
-                vals = np.clip(vals, lo_eig, hi_eig)
-                rebuilt = (vecs * vals) @ vecs.T
-                cov = (rebuilt + rebuilt.T) / 2.0
-            comps.append(Gaussian(mean, cov))
-        return MixtureParams(w, tuple(comps))
-    rates = theta.rates()
-    clipped = np.clip(rates, lo_eig, hi_eig)
-    comps = tuple(
-        type(theta.components[0])(r) if r != c.rate else c
-        for r, c in zip(clipped, theta.components)
-    )
-    return MixtureParams(w, comps)
+    if p.family != "gaussian":
+        return _Stacked(p.family, w, rates=np.clip(p.rates, lo_eig, hi_eig))
+    covs = p.covs
+    eigs = np.linalg.eigvalsh(covs)
+    outside = np.flatnonzero((eigs[:, 0] < lo_eig) | (eigs[:, -1] > hi_eig))
+    if outside.size:
+        covs = covs.copy()
+        for z in outside:
+            vals, vecs = np.linalg.eigh(covs[z])
+            vals = np.clip(vals, lo_eig, hi_eig)
+            rebuilt = (vecs * vals) @ vecs.T
+            covs[z] = (rebuilt + rebuilt.T) / 2.0
+    return _Stacked(p.family, w, np.clip(p.means, -hi_mean, hi_mean), covs)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +220,7 @@ def _advance(
 
     ``stats`` is ``(mass, moment1, moment2)``, ``params`` the factored stack
     of its M-step image and ``batch`` a validated (n, d) matrix.  With a
-    ``region`` the step is truncated; a reset goes through :func:`reset_stat`
-    on parameter objects.
+    ``region`` the step is truncated and a reset goes through :func:`_reset`.
     """
     candidate = _blend(stats, _estep(batch, params), gamma)
     if region is None:
@@ -242,10 +232,8 @@ def _advance(
         inside = False
     if inside:
         return candidate, theta, region
-    last = EmState(stats=SuffStats(*stats), theta=params.mixture(), region=region)
-    reset = reset_stat(last, batch, region)
-    stats = (reset.mass, reset.moment1, reset.moment2)
-    return stats, _mstep(stats, params.family), region.grown()
+    stats, theta = _reset(params, batch, region)
+    return stats, theta, region.grown()
 
 
 def _step(state: EmState, batch: np.ndarray, gamma: float, region: TruncationRegion | None) -> tuple:
@@ -284,19 +272,24 @@ def reset_stat(state: EmState, batch: np.ndarray, region: TruncationRegion) -> S
     map is undefined), projects into the base region, and rebuilds the
     statistic from the projected parameters.  Deterministic given its inputs.
     """
-    family = state.theta.family_tag
+    data = _as_data_matrix(batch, state.theta.dim)
+    return SuffStats(*_reset(_stack(state.theta), data, region)[0])
+
+
+def _reset(params: _Stacked, batch: np.ndarray, region: TruncationRegion) -> tuple:
+    """:func:`reset_stat` on arrays: the statistic blocks and their factored M-step image."""
     try:
-        anchor = theta_bar(mean_sbar(batch, state.theta), family)
+        anchor = _mstep(_estep(batch, params), params.family)
     except (EmptyComponentError, DegenerateComponentError):
-        anchor = state.theta
+        anchor = params
     base = replace(region, m=0)
     # Rounding in the rebuild can land an eigenvalue a hair outside the
     # region; retry with a slightly shrunken target before giving up.
     for margin in (0.0, 1e-12, 1e-9, 1e-6):
-        projected = _project_into_base_region(anchor, region, margin)
-        stats = stats_from_params(projected)
-        if region_contains(theta_bar(stats, family), base):
-            return stats
+        stats = _stats(_project(anchor, region, margin))
+        theta = _mstep(stats, params.family)
+        if _inside(theta, base):
+            return stats, theta
     raise TruncationError("projection failed to land inside the base region")
 
 
@@ -319,7 +312,7 @@ def polyak_update(theta_acc: MixtureParams | None, theta_new: MixtureParams, i: 
         raise InvalidInputError(
             f"averaging index {i} needs theta_acc, the average of iterates 1 to {i - 1}; got None"
         )
-    return _average(_stack(theta_acc, factor=False), _stack(theta_new, factor=False), i).mixture()
+    return _average(_stack(theta_acc), _stack(theta_new), i).mixture()
 
 
 def _average(acc: _Stacked | None, new: _Stacked, i: int) -> _Stacked:
@@ -393,14 +386,18 @@ def run(
     trace is recorded at epoch boundaries.  Identical seed and config give a
     bit-identical record apart from the timing fields.
 
-    The loop works on stacked arrays (see the module docstring) and checks
-    ``data`` once.  The record equals iterating :func:`minibatch_step` or
-    :func:`truncated_minibatch_step`, and :func:`polyak_update`, on the same
-    draws, bit for bit.
+    The loop works on stacked arrays (see the module docstring).  ``data``
+    is checked once: a non-finite row or a wrong width raises
+    :class:`EngineRunError` at iteration 0.  The record equals iterating
+    :func:`minibatch_step` or :func:`truncated_minibatch_step`, and
+    :func:`polyak_update`, on the same draws, bit for bit.
     """
-    data = np.asarray(data, dtype=float)
-    n = data.shape[0]
     wall0, cpu0 = time.perf_counter(), time.process_time()
+    try:
+        data = _as_data_matrix(data, init.dim)
+    except InvalidInputError as exc:
+        raise EngineRunError(0, str(exc)) from exc
+    n = data.shape[0]
     full = config.algorithm == "batch"
     truncated = config.algorithm == "truncated-minibatch"
     if full:
@@ -411,20 +408,16 @@ def run(
         per_epoch = math.ceil(n / config.batch_size)
         if rng is None:
             rng = np.random.default_rng(config.seed)
-    # Rows of a finite (n, d) matrix need no per-batch check; anything else
-    # is checked batch by batch, so an error keeps its iteration index.
-    clean = data.ndim == 2 and data.shape[1] == init.dim and bool(np.isfinite(data).all())
 
     def draw() -> np.ndarray:
         return data if full else data.take(rng.integers(0, n, size=config.batch_size), axis=0)
 
     try:
-        # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
-        stats0 = stats_from_params(init) if full else init_suffstats(draw(), init)
         params = _stack(init)
+        # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
+        stats = _stats(params) if full else _estep(draw(), params)
     except EstimationError as exc:
         raise EngineRunError(0, str(exc)) from exc
-    stats = (stats0.mass, stats0.moment1, stats0.moment2)
     region = config.truncation if truncated else None
     total = config.epochs * per_epoch
     acc = None
@@ -433,8 +426,6 @@ def run(
         batch = draw()
         gamma = 1.0 if full else config.learning_rate.at(r)
         try:
-            if not clean:
-                batch = _as_data_matrix(batch, init.dim)
             stats, params, region = _advance(stats, params, batch, gamma, region)
         except EstimationError as exc:
             raise EngineRunError(r, str(exc)) from exc

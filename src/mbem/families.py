@@ -31,7 +31,8 @@ Both maps are thin wrappers over array kernels that the engine's hot loop
 calls directly: ``_estep`` takes validated rows and a factored parameter
 stack (``_Stacked``) to the statistic blocks ``(mass, moment1, moment2)``,
 and ``_mstep`` takes those blocks to a factored stack, with one Cholesky
-factorisation per component that the next E-step reuses.
+factorisation per component that the next E-step reuses.  ``_stats``
+inverts ``_mstep`` on a stack, behind :func:`stats_from_params`.
 """
 
 from __future__ import annotations
@@ -354,14 +355,12 @@ def _log_norms(chols: np.ndarray) -> np.ndarray:
     return chols.shape[-1] * _LOG_2PI + 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
-def _stack(theta: MixtureParams, factor: bool = True) -> _Stacked:
-    """Stacked arrays of ``theta``, factored for an E-step unless ``factor`` is false."""
+def _stack(theta: MixtureParams) -> _Stacked:
+    """Stacked arrays of ``theta``, factored for an E-step."""
     family, w = theta.family_tag, theta.weights
     if family != "gaussian":
         return _Stacked(family, w, rates=theta.rates(), log_weights=np.log(w))
     means, covs = theta.means(), theta.covariances()
-    if not factor:
-        return _Stacked(family, w, means, covs)
     try:
         chols = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
@@ -394,11 +393,9 @@ def _component_log_density(p: _Stacked, z: int, y: np.ndarray) -> np.ndarray:
     if p.family == "gaussian":
         chol = p.chols[z]
         diff = y - p.means[z]
-        # The call scipy.linalg.solve_triangular(chol, diff.T, lower=True) makes.
-        if chol.flags.f_contiguous:
-            x, _ = _TRTRS(chol, diff.T, lower=1, trans=0, overwrite_b=1)
-        else:
-            x, _ = _TRTRS(chol.T, diff.T, lower=0, trans=1, overwrite_b=1)
+        # The call scipy.linalg.solve_triangular(chol, diff.T, lower=True)
+        # makes for a C-ordered factor (every np.linalg.cholesky slice is).
+        x, _ = _TRTRS(chol.T, diff.T, lower=0, trans=1, overwrite_b=1)
         quad = np.einsum("dn,dn->n", x, x)
         return -0.5 * (p.log_norms[z] + quad)
     x = y[:, 0]
@@ -606,27 +603,21 @@ def stats_from_params(theta: MixtureParams) -> SuffStats:
 
     Inverts the M-step map with total mass fixed at one: s1 = pi,
     s2 = pi * mu, S3 = pi * (Sigma + mu mu^T) for the normal family, and the
-    rate-family analogues.  Used by the truncation reset to re-anchor the
-    engine at a projected parameter value.
+    rate-family analogues.
     """
-    w = theta.weights
-    if theta.family_tag == "gaussian":
-        means = theta.means()
-        moment1 = w[:, None] * means
-        d = theta.dim
-        moment2 = np.stack(
-            [
-                w[z] * pack_symmetric(theta.components[z].cov + np.outer(means[z], means[z]))
-                for z in range(theta.g)
-            ]
-        )
-        return SuffStats(w.copy(), moment1, moment2)
-    rates = theta.rates()
-    if theta.family_tag == "exponential":
-        moment1 = (w / rates)[:, None]
-    else:
-        moment1 = (w * rates)[:, None]
-    return SuffStats(w.copy(), moment1, None)
+    return SuffStats(*_stats(_stack(theta)))
+
+
+def _stats(p: _Stacked) -> tuple:
+    """:func:`stats_from_params` on a stack: ``(mass, moment1, moment2)``."""
+    w = p.weights
+    if p.family == "gaussian":
+        rows, cols = _triu(p.means.shape[1])
+        second = p.covs + p.means[:, :, None] * p.means[:, None, :]
+        return w.copy(), w[:, None] * p.means, w[:, None] * second[:, rows, cols]
+    if p.family == "exponential":
+        return w.copy(), (w / p.rates)[:, None], None
+    return w.copy(), (w * p.rates)[:, None], None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +21,23 @@ from mbem.engine import (
     run,
     truncated_minibatch_step,
 )
-from mbem.errors import EngineRunError, InvalidInputError
-from mbem.families import Gaussian, MixtureParams, Poisson, mean_sbar, sample, theta_bar
+from mbem.errors import (
+    DegenerateComponentError,
+    EmptyComponentError,
+    EngineRunError,
+    InvalidInputError,
+    TruncationError,
+)
+from mbem.families import (
+    Exponential,
+    Gaussian,
+    MixtureParams,
+    Poisson,
+    mean_sbar,
+    sample,
+    stats_from_params,
+    theta_bar,
+)
 from mbem.metrics import dataset_loglik
 
 from conftest import make_gaussian_mixture
@@ -359,6 +375,160 @@ def test_reset_stat_postcondition_on_random_states(rng):
         assert region_contains(theta_bar(stats, init.family_tag), TruncationRegion(50, 50, 50, m=0))
 
 
+# Object-level reference for the truncation reset: the per-component
+# projection and the reset built from the public maps, as they stood before
+# the engine ran resets on stacked arrays.
+
+def _project_into_base_region(
+    theta: MixtureParams, region: TruncationRegion, margin: float = 0.0
+) -> MixtureParams:
+    """Project a parameter vector into the base (m = 0) region.
+
+    Weights are floored and rebalanced on the simplex, mean coordinates are
+    clipped, and covariance eigenvalues (or rates) are clipped.  Parameters
+    already inside the region are returned unchanged, bit for bit.  A small
+    ``margin`` shrinks the target region slightly so that rebuilding the
+    statistic cannot round the image back outside.
+    """
+    floor = (1.0 + margin) / region.c1
+    w = theta.weights
+    if np.any(w < floor):
+        if theta.g * floor > 1.0:
+            raise TruncationError("weight floor is infeasible for this component count")
+        lifted = np.maximum(w, floor)
+        surplus = lifted.sum() - 1.0
+        slack = lifted - floor
+        w = lifted - surplus * slack / slack.sum()
+    hi_mean = region.c2 * (1.0 - margin)
+    lo_eig, hi_eig = (1.0 + margin) / region.c3, region.c3 * (1.0 - margin)
+    if theta.family_tag == "gaussian":
+        comps = []
+        for comp in theta.components:
+            mean = comp.mean
+            if np.any(np.abs(mean) > hi_mean):
+                mean = np.clip(mean, -hi_mean, hi_mean)
+            cov = comp.cov
+            eigs = np.linalg.eigvalsh(cov)
+            if eigs[0] < lo_eig or eigs[-1] > hi_eig:
+                vals, vecs = np.linalg.eigh(cov)
+                vals = np.clip(vals, lo_eig, hi_eig)
+                rebuilt = (vecs * vals) @ vecs.T
+                cov = (rebuilt + rebuilt.T) / 2.0
+            comps.append(Gaussian(mean, cov))
+        return MixtureParams(w, tuple(comps))
+    rates = theta.rates()
+    clipped = np.clip(rates, lo_eig, hi_eig)
+    comps = tuple(
+        type(theta.components[0])(r) if r != c.rate else c
+        for r, c in zip(clipped, theta.components)
+    )
+    return MixtureParams(w, comps)
+
+
+def _reference_reset_stat(state: EmState, batch: np.ndarray, region: TruncationRegion):
+    """Replacement statistic inside the base region after a truncation event.
+
+    Builds the fresh-batch statistic at the last accepted parameters, maps it
+    to parameter space (falling back to the last accepted parameters when the
+    map is undefined), projects into the base region, and rebuilds the
+    statistic from the projected parameters.  Deterministic given its inputs.
+    """
+    family = state.theta.family_tag
+    try:
+        anchor = theta_bar(mean_sbar(batch, state.theta), family)
+    except (EmptyComponentError, DegenerateComponentError):
+        anchor = state.theta
+    base = replace(region, m=0)
+    # Rounding in the rebuild can land an eigenvalue a hair outside the
+    # region; retry with a slightly shrunken target before giving up.
+    for margin in (0.0, 1e-12, 1e-9, 1e-6):
+        projected = _project_into_base_region(anchor, region, margin)
+        stats = stats_from_params(projected)
+        if region_contains(theta_bar(stats, family), base):
+            return stats
+    raise TruncationError("projection failed to land inside the base region")
+
+
+def _reset_theta(family, cov_scale=1.0):
+    """Three components with weights 0.6 / 0.35 / 0.05 and spread-out scales."""
+    rng = np.random.default_rng(31)
+    weights = [0.6, 0.35, 0.05]
+    if family == "exponential":
+        return MixtureParams(weights, tuple(Exponential(r) for r in (0.2, 1.0, 5.0)))
+    if family == "poisson":
+        return MixtureParams(weights, tuple(Poisson(r) for r in (2.0, 8.0, 20.0)))
+    d = int(family.split("-")[1])
+    comps = []
+    for z, eigs in enumerate((np.geomspace(0.05, 0.5, d), np.ones(d), np.geomspace(1.0, 3.0, d))):
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        cov = cov_scale * (q * eigs) @ q.T
+        comps.append(Gaussian(np.full(d, 4.0 * (z - 1)), (cov + cov.T) / 2.0))
+    return MixtureParams(weights, tuple(comps))
+
+
+def _anchor_eigs(anchor):
+    return np.linalg.eigvalsh(anchor.covariances())
+
+
+# case: (truncation constants, covariance scale, guard on the reference anchor)
+_RESET_CASES = {
+    "inside": ((1000.0, 1000.0, 1000.0), 1.0, lambda a, r: region_contains(a, r)),
+    "weight-floor": ((10.0, 1000.0, 1000.0), 1.0, lambda a, r: a.weights.min() < 1.0 / r.c1),
+    "mean-clip": ((1000.0, 2.0, 1000.0), 1.0, lambda a, r: np.abs(a.means()).max() > r.c2),
+    "low-eig": ((1000.0, 1000.0, 10.0), 1.0, lambda a, r: _anchor_eigs(a).min() < 1.0 / r.c3),
+    "high-eig": ((1000.0, 1000.0, 10.0), 12.0, lambda a, r: _anchor_eigs(a).max() > r.c3),
+    "rate-clip": ((1000.0, 1000.0, 2.0), 1.0,
+                  lambda a, r: not ((a.rates() >= 1.0 / r.c3) & (a.rates() <= r.c3)).all()),
+    "fallback": ((1000.0, 1000.0, 1000.0), 1.0, lambda a, r: a is None),
+    "infeasible": ((1.0, 1000.0, 1000.0), 1.0, lambda a, r: True),
+}
+
+
+_GAUSSIAN_ONLY = ("mean-clip", "low-eig", "high-eig")
+
+
+@pytest.mark.parametrize(
+    "family, case",
+    [
+        (family, case)
+        for family in ("gaussian-1", "gaussian-2", "gaussian-4", "exponential", "poisson")
+        for case in _RESET_CASES
+        if case not in (("rate-clip",) if family.startswith("gaussian") else _GAUSSIAN_ONLY)
+    ],
+)
+def test_reset_stat_equals_object_reference(family, case):
+    # the engine resets on stacked arrays; every statistic block must equal
+    # the object-level reference bit for bit, on every projection branch
+    gaussian = family.startswith("gaussian")
+    constants, cov_scale, guard = _RESET_CASES[case]
+    region = TruncationRegion(*constants)
+    theta = _reset_theta(family, cov_scale)
+    data, _ = sample(theta, 200, np.random.default_rng(32))
+    # a one-point batch makes the anchor M-step undefined: a zero covariance,
+    # or an infinite / zero rate at the point 0
+    batch = (data[:1] if gaussian else np.zeros((1, 1))) if case == "fallback" else data
+    try:
+        anchor = theta_bar(mean_sbar(batch, theta), theta.family_tag)
+    except (EmptyComponentError, DegenerateComponentError):
+        anchor = None
+    assert guard(anchor, region), "the case does not reach its branch"
+    state = EmState(stats=init_suffstats(data, theta), theta=theta, region=region)
+    if case == "infeasible":
+        with pytest.raises(TruncationError):
+            _reference_reset_stat(state, batch, region)
+        with pytest.raises(TruncationError):
+            reset_stat(state, batch, region)
+        return
+    expected = _reference_reset_stat(state, batch, region)
+    got = reset_stat(state, batch, region)
+    assert np.array_equal(got.mass, expected.mass)
+    assert np.array_equal(got.moment1, expected.moment1)
+    if gaussian:
+        assert np.array_equal(got.moment2, expected.moment2)
+    else:
+        assert got.moment2 is None and expected.moment2 is None
+
+
 # ---------------------------------------------------------------------------
 # Polyak averaging
 # ---------------------------------------------------------------------------
@@ -469,6 +639,19 @@ def test_run_wraps_engine_errors_with_iteration_index(algorithm):
     with pytest.raises(EngineRunError) as err:
         run(data, RunConfig(algorithm=algorithm, epochs=2, batch_size=100, seed=3), init)
     assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("algorithm", ["minibatch", "batch"])
+def test_run_rejects_non_finite_row_at_iteration_zero(algorithm):
+    # with seed 0 the one mini-batch epoch never draws row 123; the data are
+    # invalid all the same and must be rejected before the first step
+    truth = MixtureParams([0.5, 0.5], (Gaussian([-3.0], [[1.0]]), Gaussian([3.0], [[1.0]])))
+    data, _ = sample(truth, 1000, np.random.default_rng(0))
+    data[123, 0] = np.nan
+    with pytest.raises(EngineRunError) as err:
+        run(data, RunConfig(algorithm=algorithm, epochs=1, batch_size=10, seed=0), truth)
+    assert err.value.iteration == 0
+    assert isinstance(err.value.__cause__, InvalidInputError)
 
 
 def test_batch_run_is_iterated_batch_em_step(rng):

@@ -473,6 +473,10 @@ def test_stats_from_params_inverts_theta_bar(rng):
     expo = MixtureParams([0.5, 0.5], (Exponential(0.5), Exponential(4.0)))
     back = theta_bar(stats_from_params(expo), expo.family_tag)
     np.testing.assert_allclose(back.rates(), expo.rates(), atol=1e-13)
+    # the stacked second moment takes the same products as one outer product per component
+    w = theta.weights
+    packed = [w[z] * pack_symmetric(c.cov + np.outer(c.mean, c.mean)) for z, c in enumerate(theta.components)]
+    assert np.array_equal(stats_from_params(theta).moment2, np.stack(packed))
 
 
 # ---------------------------------------------------------------------------
