@@ -12,7 +12,6 @@ from .engine import (
     RunRecord,
     TruncationRegion,
     batch_em_step,
-    init_suffstats,
     minibatch_step,
     polyak_update,
     region_contains,
@@ -55,7 +54,6 @@ __all__ = [
     "adjusted_rand_index",
     "batch_em_step",
     "dataset_loglik",
-    "init_suffstats",
     "log_density",
     "map_labels",
     "mean_sbar",

@@ -153,19 +153,8 @@ def _synthetic_source(opts):
 def _default_g(source, opts) -> int:
     if opts["g"] is not None:
         return int(opts["g"])
-    if isinstance(source, TemplateSource):
-        import numpy as np
-
-        from .data import read_labeled_csv
-
-        _, classes = read_labeled_csv(source.csv_path)
-        return int(np.unique(classes).size)
-    if isinstance(source, ThetaSource):
-        from .families import params_from_dict
-
-        with open(source.theta_path) as f:
-            return params_from_dict(json.load(f)).g
-    return 10
+    theta = template_theta(source)
+    return 10 if theta is None else theta.g
 
 
 def _build_spec(source, opts, variants) -> ExperimentSpec:

@@ -20,7 +20,8 @@ stack into the base region (``_project``) and rebuilds the statistic from
 it, also on arrays, and hands back the factored M-step image it tested.
 ``MixtureParams`` objects are built only at epoch boundaries (the trace),
 with ``keep_iterates`` and for the returned results.  The public step
-functions and :func:`reset_stat` wrap the same array maps.
+functions and :func:`reset_stat` wrap the same array maps; the truncated ones
+read the region from the state they are given.
 """
 
 from __future__ import annotations
@@ -104,7 +105,6 @@ class TruncationRegion:
     c2: float = 1000.0
     c3: float = 1000.0
     m: int = 0
-    events: int = 0
 
     def __post_init__(self):
         if min(self.c1, self.c2, self.c3) < 1.0:
@@ -113,8 +113,8 @@ class TruncationRegion:
             raise InvalidInputError("region index must be nonnegative")
 
     def grown(self) -> "TruncationRegion":
-        """Region after one reset: index and event counter advance by one."""
-        return replace(self, m=self.m + 1, events=self.events + 1)
+        """Region after one reset: the index advances by one."""
+        return replace(self, m=self.m + 1)
 
 
 def region_contains(theta: MixtureParams, region: TruncationRegion) -> bool:
@@ -178,15 +178,16 @@ def _project(p: _Stacked, region: TruncationRegion, margin: float = 0.0) -> _Sta
 
 @dataclass(frozen=True)
 class EmState:
-    """Engine state after iteration ``r``.
+    """Engine state between steps.
 
     ``theta`` equals the M-step image of ``stats`` after every completed step;
-    at r = 0 it is the supplied initializer.
+    before the first step it is the supplied initializer.  ``region`` is the
+    current truncation region; the truncated step and :func:`reset_stat`
+    require it.
     """
 
     stats: SuffStats
     theta: MixtureParams
-    r: int = 0
     region: TruncationRegion | None = None
 
 
@@ -201,11 +202,6 @@ def batch_em_step(data: np.ndarray, theta: MixtureParams) -> MixtureParams:
     trace equals iterated calls of this function bit for bit.
     """
     return theta_bar(mean_sbar(data, theta), theta.family_tag)
-
-
-def init_suffstats(batch: np.ndarray, theta0: MixtureParams) -> SuffStats:
-    """Initial statistic: the first mini-batch average of the E-step map at theta0."""
-    return mean_sbar(batch, theta0)
 
 
 def _check_gamma(gamma: float) -> None:
@@ -243,35 +239,43 @@ def _step(state: EmState, batch: np.ndarray, gamma: float, region: TruncationReg
     return _advance((s.mass, s.moment1, s.moment2), _stack(state.theta), data, gamma, region)
 
 
+def _region_of(state: EmState) -> TruncationRegion:
+    if state.region is None:
+        raise InvalidInputError("truncated EM needs a state with a region, got region=None")
+    return state.region
+
+
 def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
     """One untruncated stochastic-approximation step."""
     _check_gamma(gamma)
     stats, params, _ = _step(state, batch, gamma, None)
-    return replace(state, stats=SuffStats(*stats), theta=params.mixture(), r=state.r + 1)
+    return replace(state, stats=SuffStats(*stats), theta=params.mixture())
 
 
-def truncated_minibatch_step(
-    state: EmState, batch: np.ndarray, gamma: float, region: TruncationRegion
-) -> EmState:
-    """One truncated step: accept the candidate inside the current region, else reset.
+def truncated_minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
+    """One truncated step: accept the candidate inside ``state.region``, else reset.
 
     A candidate whose M-step image is undefined (empty component, degenerate
     covariance, nonpositive rate) counts as outside the region.  On reset the
-    returned state carries the grown region with its event counter advanced.
+    returned state carries the grown region.  Raises
+    :class:`InvalidInputError` when ``state.region`` is None.
     """
     _check_gamma(gamma)
-    stats, params, region = _step(state, batch, gamma, region)
-    return replace(state, stats=SuffStats(*stats), theta=params.mixture(), r=state.r + 1, region=region)
+    stats, params, region = _step(state, batch, gamma, _region_of(state))
+    return EmState(SuffStats(*stats), params.mixture(), region)
 
 
-def reset_stat(state: EmState, batch: np.ndarray, region: TruncationRegion) -> SuffStats:
+def reset_stat(state: EmState, batch: np.ndarray) -> SuffStats:
     """Replacement statistic inside the base region after a truncation event.
 
     Builds the fresh-batch statistic at the last accepted parameters, maps it
     to parameter space (falling back to the last accepted parameters when the
-    map is undefined), projects into the base region, and rebuilds the
-    statistic from the projected parameters.  Deterministic given its inputs.
+    map is undefined), projects into the base region of ``state.region``, and
+    rebuilds the statistic from the projected parameters.  Deterministic
+    given its inputs.  Raises :class:`InvalidInputError` when
+    ``state.region`` is None.
     """
+    region = _region_of(state)
     data = _as_data_matrix(batch, state.theta.dim)
     return SuffStats(*_reset(_stack(state.theta), data, region)[0])
 
@@ -373,18 +377,20 @@ def run(
     data: np.ndarray,
     config: RunConfig,
     init: MixtureParams,
-    rng: np.random.Generator | None = None,
+    *,
     keep_iterates: bool = False,
 ) -> RunRecord:
     """Execute one configured run and record its trace.
 
     Mini-batch variants perform epochs * ceil(n / N) iterations on batches
-    drawn uniformly with replacement, starting from the E-step average of
-    one such batch at ``init``.  Batch EM is the same loop with the whole
-    data set as the batch and gamma_r = 1: one iteration per epoch, no
-    draws, starting from the statistic whose M-step image is ``init``.  The
-    trace is recorded at epoch boundaries.  Identical seed and config give a
-    bit-identical record apart from the timing fields.
+    drawn uniformly with replacement by ``default_rng(config.seed)``, the
+    run's only source of randomness, starting from the E-step average of one
+    such batch at ``init``.  Batch EM is the same loop with the whole data
+    set as the batch and gamma_r = 1: one iteration per epoch, no draws,
+    starting from the statistic whose M-step image is ``init``.  The trace is
+    recorded at epoch boundaries.  ``truncation_events`` is the number of
+    resets, the growth of the region index m over the run.  Identical seed
+    and config give a bit-identical record apart from the timing fields.
 
     The loop works on stacked arrays (see the module docstring).  ``data``
     is checked once: a non-finite row or a wrong width raises
@@ -406,8 +412,7 @@ def run(
         if config.batch_size > n:
             raise InvalidInputError(f"batch size {config.batch_size} exceeds data size {n}")
         per_epoch = math.ceil(n / config.batch_size)
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
 
     def draw() -> np.ndarray:
         return data if full else data.take(rng.integers(0, n, size=config.batch_size), axis=0)
@@ -446,7 +451,7 @@ def run(
         trace=trace,
         polyak_trace=polyak_trace,
         iterations=total,
-        truncation_events=region.events if truncated else 0,
+        truncation_events=region.m - config.truncation.m if truncated else 0,
         wall_time=time.perf_counter() - wall0,
         cpu_time=time.process_time() - cpu0,
         iterates=iterates if keep_iterates else None,

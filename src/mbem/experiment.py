@@ -212,8 +212,6 @@ class RunRow:
 @dataclass
 class ResultsTable:
     rows: list
-    repetitions: int
-    n: int
 
 
 # Heavy arrays live in a per-process context so worker pools pickle them once.
@@ -297,7 +295,6 @@ def run_experiment(spec: ExperimentSpec) -> ResultsTable:
     per-run failures are recorded in the row rather than aborting the grid.
     """
     data, labels, theta_true = resolve_source(spec)
-    n = data.shape[0]
     inits = []
     for rep in range(spec.repetitions):
         rng = np.random.default_rng(derive_seed(spec.master_seed, "init", rep))
@@ -327,7 +324,7 @@ def run_experiment(spec: ExperimentSpec) -> ResultsTable:
             initargs=(data, labels, theta_true),
         ) as pool:
             rows = list(pool.map(_run_task, tasks))
-    return ResultsTable(rows=rows, repetitions=spec.repetitions, n=n)
+    return ResultsTable(rows=rows)
 
 
 # ---------------------------------------------------------------------------

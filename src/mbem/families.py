@@ -32,7 +32,8 @@ calls directly: ``_estep`` takes validated rows and a factored parameter
 stack (``_Stacked``) to the statistic blocks ``(mass, moment1, moment2)``,
 and ``_mstep`` takes those blocks to a factored stack, with one Cholesky
 factorisation per component that the next E-step reuses.  ``_stats``
-inverts ``_mstep`` on a stack, behind :func:`stats_from_params`.
+inverts ``_mstep`` on a stack, behind :func:`stats_from_params`, and
+``_blend`` is the one stochastic-approximation blend of two block triples.
 """
 
 from __future__ import annotations
@@ -299,20 +300,13 @@ class SuffStats:
     def dim(self) -> int:
         return self.moment1.shape[1]
 
-    def blend(self, other: "SuffStats", gamma: float) -> "SuffStats":
-        """Convex combination (1 - gamma) * self + gamma * other.
-
-        This is the stochastic-approximation update applied by the online and
-        mini-batch engines; total mass 1 is preserved up to rounding.
-        """
-        if not 0.0 <= gamma <= 1.0:
-            raise InvalidInputError(f"blend weight must lie in [0, 1], got {gamma}")
-        return SuffStats(*_blend((self.mass, self.moment1, self.moment2),
-                                 (other.mass, other.moment1, other.moment2), gamma))
-
 
 def _blend(s: tuple, t: tuple, gamma: float) -> tuple:
-    """(1 - gamma) * s + gamma * t, block by block, on ``(mass, moment1, moment2)``."""
+    """(1 - gamma) * s + gamma * t, block by block, on ``(mass, moment1, moment2)``.
+
+    This is the stochastic-approximation update of the online and mini-batch
+    engines; total mass 1 is preserved up to rounding.
+    """
     keep = 1.0 - gamma
     return tuple(None if a is None else keep * a + gamma * b for a, b in zip(s, t))
 
@@ -416,11 +410,6 @@ def _log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
     return lw
 
 
-def _log_weighted_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
-    """:func:`_log_weighted` at a parameter object."""
-    return _log_weighted(y, _stack(theta))
-
-
 def _row_max(lw: np.ndarray) -> np.ndarray:
     """Row maximum of an (n, g) matrix, taken column by column.
 
@@ -461,7 +450,7 @@ def _log_weighted_rows(y: np.ndarray, theta: MixtureParams) -> tuple:
     """Validate ``y`` and return the (n, g) :func:`_log_weighted` matrix at
     ``theta`` with its row maximum: one density pass that both the
     log-sum-exp and the normalised rows can be read from."""
-    lw = _log_weighted_densities(_as_data_matrix(y, theta.dim), theta)
+    lw = _log_weighted(_as_data_matrix(y, theta.dim), _stack(theta))
     return lw, _row_max(lw)
 
 

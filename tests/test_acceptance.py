@@ -21,7 +21,6 @@ from mbem.engine import (
     RunConfig,
     TruncationRegion,
     batch_em_step,
-    init_suffstats,
     minibatch_step,
     run,
 )
@@ -39,6 +38,7 @@ from mbem.families import (
     Gaussian,
     MixtureParams,
     SuffStats,
+    mean_sbar,
     sample,
     theta_bar,
 )
@@ -136,7 +136,7 @@ def test_criterion_1_batch_equivalence():
         data, _ = sample(theta, int(rng.integers(50, 201)), rng)
         init = random_partition_init(data, g, rng)
         t_batch = init
-        state = EmState(stats=init_suffstats(data, init), theta=init)
+        state = EmState(stats=mean_sbar(data, init), theta=init)
         for _ in range(4):
             t_batch = batch_em_step(data, t_batch)
             state = minibatch_step(state, data, 1.0)

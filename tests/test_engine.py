@@ -13,7 +13,6 @@ from mbem.engine import (
     RunConfig,
     TruncationRegion,
     batch_em_step,
-    init_suffstats,
     minibatch_step,
     polyak_update,
     region_contains,
@@ -38,6 +37,7 @@ from mbem.families import (
     stats_from_params,
     theta_bar,
 )
+from mbem.families import _blend
 from mbem.metrics import dataset_loglik
 
 from conftest import make_gaussian_mixture
@@ -177,7 +177,7 @@ def test_minibatch_full_data_unit_gamma_equals_batch_step(rng):
     data, _ = sample(theta, 150, rng)
     init = random_partition_init(data, 2, rng)
     t_batch = init
-    state = EmState(stats=init_suffstats(data, init), theta=init)
+    state = EmState(stats=mean_sbar(data, init), theta=init)
     for _ in range(4):
         t_batch = batch_em_step(data, t_batch)
         state = minibatch_step(state, data, 1.0)
@@ -189,32 +189,33 @@ def test_zero_step_leaves_statistic_unchanged(rng):
     data, _ = sample(theta, 50, rng)
     s = mean_sbar(data, theta)
     other = mean_sbar(data + 1.0, theta)
-    blended = s.blend(other, 0.0)
-    assert np.array_equal(blended.mass, s.mass)
-    assert np.array_equal(blended.moment1, s.moment1)
-    assert np.array_equal(blended.moment2, s.moment2)
+    mass, moment1, moment2 = _blend(
+        (s.mass, s.moment1, s.moment2), (other.mass, other.moment1, other.moment2), 0.0
+    )
+    assert np.array_equal(mass, s.mass)
+    assert np.array_equal(moment1, s.moment1)
+    assert np.array_equal(moment2, s.moment2)
 
 
 def test_single_point_batch_reduces_to_online_update(rng):
     theta = make_gaussian_mixture(rng, 1, 2)
     data, _ = sample(theta, 30, rng)
     init = random_partition_init(data, 2, rng)
-    state = EmState(stats=init_suffstats(data[:5], init), theta=init)
+    state = EmState(stats=mean_sbar(data[:5], init), theta=init)
     y = data[7:8]
     gamma = 0.3
     stepped = minibatch_step(state, y, gamma)
-    manual = state.stats.blend(mean_sbar(y[0], init), gamma)
-    np.testing.assert_allclose(stepped.stats.mass, manual.mass, atol=1e-15)
-    np.testing.assert_allclose(stepped.stats.moment1, manual.moment1, atol=1e-15)
-    np.testing.assert_allclose(stepped.stats.moment2, manual.moment2, atol=1e-15)
-    assert stepped.r == state.r + 1
+    point = mean_sbar(y[0], init)
+    for block in ("mass", "moment1", "moment2"):
+        manual = (1.0 - gamma) * getattr(state.stats, block) + gamma * getattr(point, block)
+        np.testing.assert_allclose(getattr(stepped.stats, block), manual, atol=1e-15)
 
 
 def test_step_mass_conservation(rng):
     theta = make_gaussian_mixture(rng, 2, 3)
     data, _ = sample(theta, 300, rng)
     init = random_partition_init(data, 3, rng)
-    state = EmState(stats=init_suffstats(data[:30], init), theta=init)
+    state = EmState(stats=mean_sbar(data[:30], init), theta=init)
     lr = DEFAULT_LEARNING_RATE
     for r in range(1, 40):
         batch = data[rng.integers(0, len(data), 30)]
@@ -225,7 +226,7 @@ def test_step_mass_conservation(rng):
 def test_minibatch_step_rejects_bad_gamma(rng):
     theta = make_gaussian_mixture(rng, 1, 1)
     data, _ = sample(theta, 20, rng)
-    state = EmState(stats=init_suffstats(data, theta), theta=theta)
+    state = EmState(stats=mean_sbar(data, theta), theta=theta)
     with pytest.raises(InvalidInputError):
         minibatch_step(state, data, 0.0)
     with pytest.raises(InvalidInputError):
@@ -276,17 +277,17 @@ def test_truncated_step_matches_plain_when_region_never_binds(rng):
     data, _ = sample(theta, 200, rng)
     init = random_partition_init(data, 2, rng)
     region = TruncationRegion(1000, 1000, 1000)
-    s0 = init_suffstats(data[:20], init)
+    s0 = mean_sbar(data[:20], init)
     plain = EmState(stats=s0, theta=init)
     trunc = EmState(stats=s0, theta=init, region=region)
     for r in range(1, 20):
         batch = data[rng.integers(0, len(data), 20)]
         gamma = DEFAULT_LEARNING_RATE.at(r)
         plain = minibatch_step(plain, batch, gamma)
-        trunc = truncated_minibatch_step(trunc, batch, gamma, trunc.region)
+        trunc = truncated_minibatch_step(trunc, batch, gamma)
         assert _params_equal(plain.theta, trunc.theta)
         assert np.array_equal(plain.stats.mass, trunc.stats.mass)
-    assert trunc.region.events == 0
+    assert trunc.region == region
 
 
 def test_truncated_step_resets_on_degenerate_candidate(rng):
@@ -297,9 +298,8 @@ def test_truncated_step_resets_on_degenerate_candidate(rng):
     # statistic whose covariance collapses to a point mass: eigenvalue 0
     bad = mean_sbar(np.zeros((4, 1)), init)
     state = EmState(stats=bad, theta=init, region=region)
-    stepped = truncated_minibatch_step(state, data[:10], 1e-6, region)
-    assert stepped.region.m == 1
-    assert stepped.region.events == 1
+    stepped = truncated_minibatch_step(state, data[:10], 1e-6)
+    assert stepped.region == replace(region, m=1)
     assert region_contains(stepped.theta, TruncationRegion(1000, 1000, 1000, m=0))
 
 
@@ -309,17 +309,31 @@ def test_truncation_index_monotone_and_counts_events(rng):
     init = random_partition_init(data, 2, rng)
     # a tight eigenvalue box forces repeated resets until m grows enough
     region = TruncationRegion(4.0, 1.0, 1.05)
-    state = EmState(stats=init_suffstats(data[:20], init), theta=init, region=region)
+    state = EmState(stats=mean_sbar(data[:20], init), theta=init, region=region)
     ms = [0]
     for r in range(1, 15):
         batch = data[rng.integers(0, len(data), 20)]
-        state = truncated_minibatch_step(state, batch, DEFAULT_LEARNING_RATE.at(r), state.region)
+        state = truncated_minibatch_step(state, batch, DEFAULT_LEARNING_RATE.at(r))
         ms.append(state.region.m)
     diffs = np.diff(ms)
     assert np.all(diffs >= 0)
     assert np.all(diffs <= 1)
-    assert state.region.events > 0
-    assert state.region.events == state.region.m - region.m
+    assert state.region.m > region.m
+    # a reset grows only the index: the constants stay those of the start
+    assert state.region == replace(region, m=state.region.m)
+
+
+def test_truncated_step_and_reset_need_a_region(rng):
+    # the truncated maps read the region from the state; without one they
+    # fail typed instead of stepping untruncated or failing inside replace()
+    theta = make_gaussian_mixture(rng, 1, 2)
+    data, _ = sample(theta, 40, rng)
+    state = EmState(stats=mean_sbar(data[:10], theta), theta=theta)
+    assert state.region is None
+    with pytest.raises(InvalidInputError, match="region"):
+        truncated_minibatch_step(state, data[10:20], 0.5)
+    with pytest.raises(InvalidInputError, match="region"):
+        reset_stat(state, data[10:20])
 
 
 def test_reset_stat_identity_on_base_region():
@@ -330,12 +344,11 @@ def test_reset_stat_identity_on_base_region():
     )
     data = np.array([[-2.0, 0.5], [2.0, -0.25], [-1.0, 0.0], [1.0, 0.25], [0.5, -1.0]])
     region = TruncationRegion(1000, 1000, 1000)
-    state = EmState(stats=init_suffstats(data, theta), theta=theta, region=region)
+    state = EmState(stats=mean_sbar(data, theta), theta=theta, region=region)
     # anchor falls back to state.theta when the batch statistic is degenerate
     stats = reset_stat(
         EmState(stats=state.stats, theta=theta, region=region),
         np.array([[0.0, 0.0]]),  # single point: anchor M-step is degenerate
-        region,
     )
     rebuilt = theta_bar(stats, theta.family_tag)
     assert _params_equal(rebuilt, theta)
@@ -344,8 +357,8 @@ def test_reset_stat_identity_on_base_region():
 def test_reset_stat_clips_small_eigenvalue(rng):
     theta = MixtureParams([1.0], (Gaussian([0.0], [[1e-9]]),))
     region = TruncationRegion(1000, 1000, 1000)
-    state = EmState(stats=init_suffstats(np.array([[0.0]]), theta), theta=theta, region=region)
-    stats = reset_stat(state, np.array([[0.0]]), region)
+    state = EmState(stats=mean_sbar(np.array([[0.0]]), theta), theta=theta, region=region)
+    stats = reset_stat(state, np.array([[0.0]]))
     rebuilt = theta_bar(stats, theta.family_tag)
     assert rebuilt.components[0].cov[0, 0] == pytest.approx(1e-3, rel=1e-9)
     assert region_contains(rebuilt, TruncationRegion(1000, 1000, 1000, m=0))
@@ -359,9 +372,9 @@ def test_reset_unrecoverable_when_weight_floor_infeasible(rng):
     init = random_partition_init(data, 2, rng)
     # c1 = 1 demands every weight >= 1: no two-component vector can comply
     region = TruncationRegion(1.0, 1000.0, 1000.0)
-    state = EmState(stats=init_suffstats(data[:10], init), theta=init, region=region)
+    state = EmState(stats=mean_sbar(data[:10], init), theta=init, region=region)
     with pytest.raises(TruncationError):
-        reset_stat(state, data[10:30], region)
+        reset_stat(state, data[10:30])
 
 
 def test_reset_stat_postcondition_on_random_states(rng):
@@ -370,8 +383,8 @@ def test_reset_stat_postcondition_on_random_states(rng):
         theta = make_gaussian_mixture(rng, 2, 2)
         data, _ = sample(theta, 60, rng)
         init = random_partition_init(data, 2, rng)
-        state = EmState(stats=init_suffstats(data[:10], init), theta=init, region=base)
-        stats = reset_stat(state, data[10:30], base)
+        state = EmState(stats=mean_sbar(data[:10], init), theta=init, region=base)
+        stats = reset_stat(state, data[10:30])
         assert region_contains(theta_bar(stats, init.family_tag), TruncationRegion(50, 50, 50, m=0))
 
 
@@ -512,15 +525,15 @@ def test_reset_stat_equals_object_reference(family, case):
     except (EmptyComponentError, DegenerateComponentError):
         anchor = None
     assert guard(anchor, region), "the case does not reach its branch"
-    state = EmState(stats=init_suffstats(data, theta), theta=theta, region=region)
+    state = EmState(stats=mean_sbar(data, theta), theta=theta, region=region)
     if case == "infeasible":
         with pytest.raises(TruncationError):
             _reference_reset_stat(state, batch, region)
         with pytest.raises(TruncationError):
-            reset_stat(state, batch, region)
+            reset_stat(state, batch)
         return
     expected = _reference_reset_stat(state, batch, region)
-    got = reset_stat(state, batch, region)
+    got = reset_stat(state, batch)
     assert np.array_equal(got.mass, expected.mass)
     assert np.array_equal(got.moment1, expected.moment1)
     if gaussian:
@@ -575,28 +588,6 @@ def test_polyak_rate_family():
     acc = polyak_update(polyak_update(None, a, 1), b, 2)
     np.testing.assert_allclose(acc.rates(), [2.0, 4.0], atol=1e-15)
     np.testing.assert_allclose(acc.weights, [0.375, 0.625], atol=1e-15)
-
-
-# ---------------------------------------------------------------------------
-# init_suffstats
-# ---------------------------------------------------------------------------
-
-def test_init_suffstats_single_observation(rng):
-    theta = make_gaussian_mixture(rng, 2, 2)
-    y = rng.normal(0, 1, (1, 2))
-    a = init_suffstats(y, theta)
-    b = mean_sbar(y[0], theta)
-    assert np.array_equal(a.mass, b.mass)
-    assert np.array_equal(a.moment1, b.moment1)
-    assert np.array_equal(a.moment2, b.moment2)
-
-
-def test_init_suffstats_normalized_and_single_component_empirical(rng):
-    theta = make_gaussian_mixture(rng, 2, 1)
-    data, _ = sample(theta, 40, rng)
-    s = init_suffstats(data, theta)
-    assert abs(s.mass.sum() - 1.0) <= 1e-12
-    np.testing.assert_allclose(s.moment1[0], data.mean(axis=0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -725,12 +716,12 @@ def _replay(data, cfg, init):
 
     truncated = cfg.algorithm == "truncated-minibatch"
     region = cfg.truncation if truncated else None
-    state = EmState(stats=init_suffstats(draw(), init), theta=init, region=region)
+    state = EmState(stats=mean_sbar(draw(), init), theta=init, region=region)
     acc, iterates, averages = None, [], []
     for r in range(1, cfg.epochs * math.ceil(n / cfg.batch_size) + 1):
         batch, gamma = draw(), cfg.learning_rate.at(r)
         if truncated:
-            state = truncated_minibatch_step(state, batch, gamma, state.region)
+            state = truncated_minibatch_step(state, batch, gamma)
         else:
             state = minibatch_step(state, batch, gamma)
         iterates.append(state.theta)
@@ -785,6 +776,16 @@ def test_run_is_iterated_public_steps(case, algorithm, polyak):
     else:
         assert rec.polyak_theta is None and rec.polyak_trace == []
     truncated = algorithm == "truncated-minibatch"
-    assert rec.truncation_events == (state.region.events if truncated else 0)
+    assert rec.truncation_events == (state.region.m - cfg.truncation.m if truncated else 0)
     if truncated:
         assert rec.truncation_events > 0
+
+
+def test_truncation_events_count_from_a_nonzero_start():
+    # a region that starts at m = 3 reports the resets of this run only
+    data, cfg, init = _poisson_case("truncated-minibatch", False)
+    cfg = replace(cfg, truncation=replace(cfg.truncation, m=3))
+    rec = run(data, cfg, init)
+    _, _, state = _replay(data, cfg, init)
+    assert state.region.m > 3
+    assert rec.truncation_events == state.region.m - 3

@@ -246,7 +246,7 @@ def _table_from_metric(values_by_variant):
                 RunRow(variant, rep, 0, "ok", v, v, float("nan"), float("nan"),
                        1, 0, 0.0, 0.0)
             )
-    return ResultsTable(rows=rows, repetitions=max(len(v) for v in values_by_variant.values()), n=1)
+    return ResultsTable(rows=rows)
 
 
 def test_summarize_constant_column_has_zero_se():

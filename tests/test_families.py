@@ -31,7 +31,7 @@ from mbem.families import (
     theta_bar,
     unpack_symmetric,
 )
-from mbem.families import _blend, _estep, _row_max, _stack
+from mbem.families import _blend, _estep, _log_weighted, _row_max, _stack
 
 from conftest import make_gaussian_mixture
 
@@ -180,9 +180,7 @@ def test_responsibilities_log_shift_invariance(rng):
     theta = make_gaussian_mixture(rng, 2, 3)
     y = rng.normal(0, 3, (20, 2))
     tau = responsibilities_batch(y, theta)
-    from mbem.families import _log_weighted_densities
-
-    lw = _log_weighted_densities(y, theta) + 123.456  # common log-scale shift
+    lw = _log_weighted(y, _stack(theta)) + 123.456  # common log-scale shift
     shifted = np.exp(lw - lw.max(axis=1)[:, None])
     shifted /= shifted.sum(axis=1)[:, None]
     np.testing.assert_allclose(tau, shifted, atol=1e-15)
@@ -233,6 +231,26 @@ def test_mean_sbar_matches_average_of_single_points(rng):
     np.testing.assert_allclose(s.mass, np.mean([t.mass for t in singles], axis=0), atol=1e-14)
     np.testing.assert_allclose(s.moment1, np.mean([t.moment1 for t in singles], axis=0), atol=1e-14)
     np.testing.assert_allclose(s.moment2, np.mean([t.moment2 for t in singles], axis=0), atol=1e-13)
+
+
+def test_mean_sbar_one_row_equals_single_point(rng):
+    # the statistic a run starts from is mean_sbar of its first batch; a
+    # one-row batch gives the single-point statistic bit for bit
+    theta = make_gaussian_mixture(rng, 2, 2)
+    y = rng.normal(0, 1, (1, 2))
+    a = mean_sbar(y, theta)
+    b = mean_sbar(y[0], theta)
+    assert np.array_equal(a.mass, b.mass)
+    assert np.array_equal(a.moment1, b.moment1)
+    assert np.array_equal(a.moment2, b.moment2)
+
+
+def test_mean_sbar_normalized_and_single_component_empirical(rng):
+    theta = make_gaussian_mixture(rng, 2, 1)
+    data, _ = sample(theta, 40, rng)
+    s = mean_sbar(data, theta)
+    assert abs(s.mass.sum() - 1.0) <= 1e-12
+    np.testing.assert_allclose(s.moment1[0], data.mean(axis=0), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +333,7 @@ def test_convex_combination_stays_valid(seed, gamma):
     theta = make_gaussian_mixture(rng, d, g)
     a = mean_sbar(rng.normal(0, 2, (d + 5, d)), theta)
     b = mean_sbar(rng.normal(1, 3, (d + 5, d)), theta)
-    mixed = a.blend(b, gamma)
+    mixed = SuffStats(*_blend((a.mass, a.moment1, a.moment2), (b.mass, b.moment1, b.moment2), gamma))
     assert abs(mixed.mass.sum() - 1.0) <= 1e-10
     try:
         t = theta_bar(mixed, theta.family_tag)
@@ -334,11 +352,10 @@ def test_blend_preserves_total_mass(seed, gamma, g, d):
                          rng.normal(0, 3, (g, d * (d + 1) // 2)))
 
     a, b = unit_mass_stats(), unit_mass_stats()
-    mixed = a.blend(b, gamma)
-    assert abs(mixed.mass.sum() - 1.0) <= 1e-12
-    kernel = _blend((a.mass, a.moment1, a.moment2), (b.mass, b.moment1, b.moment2), gamma)
-    for block, expected in zip((mixed.mass, mixed.moment1, mixed.moment2), kernel):
-        assert np.array_equal(block, expected)
+    mixed = _blend((a.mass, a.moment1, a.moment2), (b.mass, b.moment1, b.moment2), gamma)
+    assert abs(mixed[0].sum() - 1.0) <= 1e-12
+    for block, s, t in zip(mixed, (a.mass, a.moment1, a.moment2), (b.mass, b.moment1, b.moment2)):
+        assert np.array_equal(block, (1.0 - gamma) * s + gamma * t)
 
 
 def _reference_log_weighted(y, theta):
@@ -477,6 +494,39 @@ def test_stats_from_params_inverts_theta_bar(rng):
     w = theta.weights
     packed = [w[z] * pack_symmetric(c.cov + np.outer(c.mean, c.mean)) for z, c in enumerate(theta.components)]
     assert np.array_equal(stats_from_params(theta).moment2, np.stack(packed))
+
+
+def _round_trip_theta(family, seed, d, g):
+    rng = np.random.default_rng(seed)
+    if family == "gaussian":
+        # the generator's mean scale (N(0, 9) coordinates) keeps |mu|^2 within
+        # a few decades of the smallest eigenvalue; far beyond that the
+        # covariance rebuild S3/s1 - mu mu^T loses digits
+        return make_gaussian_mixture(rng, d, g)
+    kind = Poisson if family == "poisson" else Exponential
+    rates = 10.0 ** rng.uniform(-3.0, 3.0, g)
+    return MixtureParams(rng.dirichlet(np.full(g, 2.0)), tuple(kind(r) for r in rates))
+
+
+def _blocks(theta):
+    if theta.family_tag == "gaussian":
+        return theta.weights, theta.means(), theta.covariances()
+    return theta.weights, theta.rates()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["gaussian", "poisson", "exponential"]),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 6),
+    st.integers(1, 6),
+)
+def test_theta_bar_of_stats_from_params_is_identity(family, seed, d, g):
+    theta = _round_trip_theta(family, seed, d, g)
+    back = theta_bar(stats_from_params(theta), family)
+    for got, want in zip(_blocks(back), _blocks(theta)):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
