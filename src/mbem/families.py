@@ -34,6 +34,18 @@ and ``_mstep`` takes those blocks to a factored stack, with one Cholesky
 factorisation per component that the next E-step reuses.  ``_stats``
 inverts ``_mstep`` on a stack, behind :func:`stats_from_params`, and
 ``_blend`` is the one stochastic-approximation blend of two block triples.
+
+The E-step and the evaluation pass (``_log_weighted``) work component-major
+on blocks of at most ``_BLOCK`` rows.  Each block is transposed once to
+(d, b); each Gaussian component whitens the centred block y - mu_z with one
+GEMM by its inverse Cholesky factor L_z^-1 (never L^-1 y - L^-1 mu, which
+cancels when |mu| is much larger than the spread), and the log-weighted
+matrix, responsibilities, mass, first moment and scatter come from
+contiguous (g, b) rows, summed over blocks.  L^-1 is computed per pass, and
+only when it has more than one row to whiten.  A single observation keeps the
+triangular solve: batch-size-1 truncated runs are chaotic, so a last-bit
+change in one step moves their whole trajectory, and they stay bit-identical
+to the solve-based arithmetic.
 """
 
 from __future__ import annotations
@@ -68,6 +80,13 @@ _SYM_TOL = 1e-12
 #: LAPACK triangular solve, the routine behind ``scipy.linalg.solve_triangular``
 #: for float64 input, called directly to skip that wrapper's per-call checks.
 _TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
+
+#: LAPACK triangular inverse, behind :func:`_inverse_factors`.
+_TRTRI = get_lapack_funcs("trtri", (np.empty((1, 1)),))
+
+#: Rows per block of the E-step and evaluation passes.  It bounds their
+#: (d, b) and (g, d, b) temporaries, so memory does not grow with the batch.
+_BLOCK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -382,17 +401,23 @@ def _as_data_matrix(y: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
-def _component_log_density(p: _Stacked, z: int, y: np.ndarray) -> np.ndarray:
-    """Vectorized log density of component ``z`` of a factored stack over the rows of ``y``."""
-    if p.family == "gaussian":
-        chol = p.chols[z]
-        diff = y - p.means[z]
-        # The call scipy.linalg.solve_triangular(chol, diff.T, lower=True)
-        # makes for a C-ordered factor (every np.linalg.cholesky slice is).
-        x, _ = _TRTRS(chol.T, diff.T, lower=0, trans=1, overwrite_b=1)
-        quad = np.einsum("dn,dn->n", x, x)
-        return -0.5 * (p.log_norms[z] + quad)
-    x = y[:, 0]
+def _inverse_factors(p: _Stacked, n: int) -> np.ndarray | None:
+    """Inverse Cholesky factors L^-1 (g, d, d) of a Gaussian stack, for a
+    pass over ``n`` > 1 rows; None where no GEMM whitening runs (one
+    observation, rate families)."""
+    if p.family != "gaussian" or n == 1:
+        return None
+    inv = np.empty_like(p.chols)
+    for z, chol in enumerate(p.chols):
+        # trtri of the upper factor L^T in Fortran order returns (L^-1)^T in
+        # Fortran order, whose transpose is L^-1 in C order.
+        inv_t, _ = _TRTRI(chol.T, lower=0)
+        inv[z] = inv_t.T
+    return inv
+
+
+def _rate_log_density(p: _Stacked, z: int, x: np.ndarray) -> np.ndarray:
+    """Log density of rate component ``z`` of a stack at the values ``x``."""
     rate = float(p.rates[z])
     if p.family == "exponential":
         return np.where(x >= 0.0, math.log(rate) - rate * x, -np.inf)
@@ -402,56 +427,83 @@ def _component_log_density(p: _Stacked, z: int, y: np.ndarray) -> np.ndarray:
         return np.where(support, x * math.log(rate) - rate - gammaln(x + 1.0), -np.inf)
 
 
+def _blocks(y: np.ndarray):
+    """``(start, yt)`` per block of at most ``_BLOCK`` rows of ``y``, with
+    ``yt`` the block transposed once to a C-ordered (d, b) matrix."""
+    for start in range(0, y.shape[0], _BLOCK):
+        yield start, np.ascontiguousarray(y[start : start + _BLOCK].T)
+
+
+def _block_log_weighted(yt: np.ndarray, p: _Stacked, inv: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (g, b) with log pi_z + log f(y_i; omega_z) over the
+    columns of ``yt``, a (d, b) transposed block; returns ``out``.
+
+    ``inv`` is :func:`_inverse_factors` of the same pass."""
+    if p.family != "gaussian":
+        for z in range(out.shape[0]):
+            np.add(p.log_weights[z], _rate_log_density(p, z, yt[0]), out=out[z])
+        return out
+    for z in range(out.shape[0]):
+        # Centre before whitening: L^-1 y - L^-1 mu cancels when |mu| >> spread.
+        diff = yt - p.means[z][:, None]
+        if inv is None:
+            # One observation keeps the triangular solve, so batch-size-1 runs,
+            # which are chaotic under truncation, keep their bits.  The call
+            # scipy.linalg.solve_triangular(chol, diff, lower=True) makes for
+            # a C-ordered factor (every np.linalg.cholesky slice is).
+            x, _ = _TRTRS(p.chols[z].T, diff, lower=0, trans=1, overwrite_b=1)
+        else:
+            x = inv[z] @ diff
+        np.einsum("dn,dn->n", x, x, out=out[z])
+    # log pi_z + -0.5 * (log_norm_z + quad), one operation at a time over all
+    # components: the same rounding as the per-component expression.
+    out += p.log_norms[:, None]
+    out *= -0.5
+    out += p.log_weights[:, None]
+    return out
+
+
 def _log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
-    """(n, g) matrix of log pi_z + log f(y_i; omega_z) at a factored stack."""
-    lw = np.empty((y.shape[0], p.weights.shape[0]))
-    for z in range(lw.shape[1]):
-        lw[:, z] = p.log_weights[z] + _component_log_density(p, z, y)
+    """(g, n) matrix of log pi_z + log f(y_i; omega_z) over validated rows
+    ``y`` at a factored stack, computed block by block."""
+    lw = np.empty((p.weights.shape[0], y.shape[0]))
+    inv = _inverse_factors(p, y.shape[0])
+    for start, yt in _blocks(y):
+        _block_log_weighted(yt, p, inv, lw[:, start : start + yt.shape[1]])
     return lw
 
 
-def _row_max(lw: np.ndarray) -> np.ndarray:
-    """Row maximum of an (n, g) matrix, taken column by column.
-
-    Equal to ``lw.max(axis=1)`` bit for bit (NaN propagates the same way),
-    without numpy's per-row overhead on a short reduction axis.
-    """
-    top = lw[:, 0].copy()
-    for z in range(1, lw.shape[1]):
-        np.maximum(top, lw[:, z], out=top)
-    return top
-
-
 def _log_sum_exp(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Row log-sum-exp of ``lw`` given its row maximum ``top``; -inf where
-    ``top`` is not finite."""
+    """Column log-sum-exp of a (g, n) ``lw`` given its column maximum
+    ``top``; -inf where ``top`` is not finite."""
     finite = np.isfinite(top)
     shift = np.where(finite, top, 0.0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        out = shift + np.log(np.exp(lw - shift[:, None]).sum(axis=1))
+        out = shift + np.log(np.exp(lw - shift).sum(axis=0))
     out[~finite] = -np.inf
     return out
 
 
 def _normalise(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Rows of ``exp(lw)`` scaled to sum to one, given the row maximum ``top``.
+    """Columns of ``exp(lw)`` (g, n) scaled to sum to one, given the column
+    maximum ``top``.
 
-    Raises :class:`DegeneratePointError` if some row has zero density under
-    every component.
+    Raises :class:`DegeneratePointError` if some observation has zero density
+    under every component.
     """
     if not np.isfinite(top).all():
         raise DegeneratePointError("observation has zero density under every component")
-    tau = np.exp(lw - top[:, None])
-    tau /= tau.sum(axis=1)[:, None]
+    tau = np.exp(lw - top)
+    tau /= tau.sum(axis=0)
     return tau
 
 
 def _log_weighted_rows(y: np.ndarray, theta: MixtureParams) -> tuple:
-    """Validate ``y`` and return the (n, g) :func:`_log_weighted` matrix at
-    ``theta`` with its row maximum: one density pass that both the
-    log-sum-exp and the normalised rows can be read from."""
+    """Validate ``y`` and return the (g, n) :func:`_log_weighted` matrix at
+    ``theta`` with its column maximum: one density pass that both the
+    log-sum-exp and the normalised responsibilities can be read from."""
     lw = _log_weighted(_as_data_matrix(y, theta.dim), _stack(theta))
-    return lw, _row_max(lw)
+    return lw, lw.max(axis=0)
 
 
 def log_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
@@ -474,7 +526,7 @@ def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Raises :class:`DegeneratePointError` if some observation has zero density
     under every component.
     """
-    return _normalise(*_log_weighted_rows(y, theta))
+    return _normalise(*_log_weighted_rows(y, theta)).T
 
 
 # ---------------------------------------------------------------------------
@@ -483,20 +535,32 @@ def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
 
 def _estep(y: np.ndarray, p: _Stacked) -> tuple:
     """E-step kernel: ``(mass, moment1, moment2)`` averaged over validated
-    rows ``y`` at a factored stack (``moment2`` is None for rate families)."""
+    rows ``y`` at a factored stack (``moment2`` is None for rate families).
+
+    Works block by block on (g, b) responsibilities; the first block's sums
+    start the totals, so a single block allocates no accumulators.
+    """
     n, d = y.shape
-    lw = _log_weighted(y, p)
-    tau = _normalise(lw, _row_max(lw))
-    mass = tau.mean(axis=0)
-    moment1 = tau.T @ y / n
-    if p.family != "gaussian":
+    if n < 1:
+        raise InvalidInputError("the E-step needs at least one observation")
+    g = p.weights.shape[0]
+    gaussian = p.family == "gaussian"
+    inv = _inverse_factors(p, n)
+    total = None
+    for _, yt in _blocks(y):
+        lw = _block_log_weighted(yt, p, inv, np.empty((g, yt.shape[1])))
+        tau = _normalise(lw, lw.max(axis=0))
+        part = [tau.sum(axis=1), tau @ yt.T]
+        if gaussian:
+            # (tau_z y) y^T for every component in one batched matmul; the
+            # product order (tau_z y_i) y_j keeps single-observation bits.
+            part.append((tau[:, None, :] * yt) @ yt.T)
+        total = part if total is None else [a + b for a, b in zip(total, part)]
+    mass, moment1 = total[0] / n, total[1] / n
+    if not gaussian:
         return mass, moment1, None
-    iu = _triu(d)
-    moment2 = np.empty((tau.shape[1], d * (d + 1) // 2))
-    for z in range(tau.shape[1]):
-        scatter = (tau[:, z : z + 1] * y).T @ y / n
-        moment2[z] = scatter[iu]
-    return mass, moment1, moment2
+    rows, cols = _triu(d)
+    return mass, moment1, total[2][:, rows, cols] / n
 
 
 def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:

@@ -52,7 +52,7 @@ def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:
     return _map_labels(_log_weighted_rows(data, theta))
 
 
-# Both read the (log-weighted matrix, row maximum) pair of
+# Both read the ((g, n) log-weighted matrix, column maximum) pair of
 # ``families._log_weighted_rows``, so one density pass can serve both.
 
 def _loglik(rows: tuple) -> float:
@@ -62,7 +62,7 @@ def _loglik(rows: tuple) -> float:
 
 def _map_labels(rows: tuple) -> np.ndarray:
     """:func:`map_labels` from a log-weighted density pass."""
-    return np.argmax(_normalise(*rows), axis=1)
+    return np.argmax(_normalise(*rows), axis=0)
 
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,6 +7,8 @@ MBEM_MNIST_DIR points at a directory holding the four standard IDX files.
 
 import math
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, minimize_scalar
 
+import mbem
 from mbem.data import drop_constant_pixels, random_partition_init, read_idx
 from mbem.engine import (
     EmState,
@@ -487,5 +490,22 @@ def test_criterion_10_determinism(tmp_path):
         path = tmp_path / f"results_{attempt}.csv"
         write_results_csv(table, path)
         texts.append(strip_timing(path.read_text()))
-    ok = texts[0] == texts[1] == texts[2]
-    _report(10, ok, "results.csv byte-identical across reruns and 1/3-worker execution")
+    # BLAS threads: the same grid in fresh processes at 1 and 2 threads.  Its
+    # 5000-row batches exceed the E-step's row block (families._BLOCK), so
+    # the blocked GEMMs are large enough for OpenBLAS to split.
+    src = str(Path(mbem.__file__).resolve().parents[1])
+    threaded = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / f"threads_{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        subprocess.run(
+            [sys.executable, "-m", "mbem.cli", "simulate", "--template", str(IRIS_CSV),
+             "--n", "20000", "--batch-frac", "0.25", "--epochs", "2", "--reps", "2",
+             "--seed", "99", "--variant", "em", "--variant", "mb",
+             "--variant", "mb-trunc-polyak", "--out-dir", str(out_dir)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        threaded.append(strip_timing((out_dir / "results.csv").read_text()))
+    ok = texts[0] == texts[1] == texts[2] and threaded[0] == threaded[1]
+    _report(10, ok, "results.csv byte-identical across reruns, 1/3 workers and 1/2 BLAS threads")
