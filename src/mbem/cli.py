@@ -150,17 +150,16 @@ def _synthetic_source(opts):
     raise SystemExit("one of --template or --theta is required")
 
 
-def _default_g(source, opts) -> int:
+def _default_g(theta_true, opts) -> int:
     if opts["g"] is not None:
         return int(opts["g"])
-    theta = template_theta(source)
-    return 10 if theta is None else theta.g
+    return 10 if theta_true is None else theta_true.g
 
 
-def _build_spec(source, opts, variants) -> ExperimentSpec:
+def _build_spec(source, opts, variants, theta_true) -> ExperimentSpec:
     return ExperimentSpec(
         source=source,
-        g=_default_g(source, opts),
+        g=_default_g(theta_true, opts),
         variants=variants,
         repetitions=int(opts["reps"]),
         master_seed=int(opts["seed"]),
@@ -171,7 +170,7 @@ def _build_spec(source, opts, variants) -> ExperimentSpec:
     )
 
 
-def _write_outputs(spec: ExperimentSpec, table, out_dir: Path, per_obs: bool) -> None:
+def _write_outputs(spec: ExperimentSpec, table, out_dir: Path, per_obs: bool, theta_true) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_results_csv(table, out_dir / "results.csv")
     write_summary(table, out_dir / "summary.csv", out_dir / "summary.json")
@@ -180,7 +179,7 @@ def _write_outputs(spec: ExperimentSpec, table, out_dir: Path, per_obs: bool) ->
         metrics.insert(1, "loglik_per_obs")
     for metric in metrics:
         write_boxplot_csv(table, metric, out_dir / f"boxplot_{metric}.csv")
-    write_meta(spec, out_dir / "meta.json", template_theta(spec.source))
+    write_meta(spec, out_dir / "meta.json", theta_true)
 
 
 def main(argv=None) -> int:
@@ -210,20 +209,22 @@ def main(argv=None) -> int:
         names = [n for n in opts["variant"] if n != "all"] or ["mb"]
         variants = _expand_variants(names[:1], opts["batch_frac"][:1])[:1]
 
-    spec = _build_spec(source, opts, variants)
+    # Built once: the default g, the sampled data and meta.json all use it.
+    theta_true = template_theta(source)
+    spec = _build_spec(source, opts, variants, theta_true)
 
     if args.command == "bench":
-        table = run_experiment(spec)
+        table = run_experiment(spec, theta_true)
         row = table.rows[0]
         print(json.dumps({col: getattr(row, col) for col in row.__dataclass_fields__}, indent=2))
         if opts["out_dir"]:
-            _write_outputs(spec, table, Path(opts["out_dir"]), bool(opts["per_obs_loglik"]))
+            _write_outputs(spec, table, Path(opts["out_dir"]), bool(opts["per_obs_loglik"]), theta_true)
         return 0
 
     if not opts["out_dir"]:
         raise SystemExit("--out-dir is required")
-    table = run_experiment(spec)
-    _write_outputs(spec, table, Path(opts["out_dir"]), bool(opts["per_obs_loglik"]))
+    table = run_experiment(spec, theta_true)
+    _write_outputs(spec, table, Path(opts["out_dir"]), bool(opts["per_obs_loglik"]), theta_true)
     ok = sum(1 for r in table.rows if r.status == "ok")
     print(f"{len(table.rows)} runs ({ok} ok) -> {opts['out_dir']}")
     return 0

@@ -15,9 +15,11 @@ region and grows the region index by one.
 ``(mass, moment1, moment2)`` and the parameter stack of
 :mod:`mbem.families` (weights, means, covariances, their Cholesky factors
 and log normalisers, or rates).  Each M-step factorises once and the next
-E-step reuses that factor.  A truncation reset (``_reset``) projects the
-stack into the base region (``_project``) and rebuilds the statistic from
-it, also on arrays, and hands back the factored M-step image it tested.
+E-step reuses that factor.  A truncation reset (``_reset``) starts from the
+batch E-step the rejected step computed, projects its M-step image into the
+base region (``_project``) and rebuilds the statistic from it, also on
+arrays, and hands back the factored M-step image it tested.  Batch indices
+are drawn with one generator call per epoch.
 ``MixtureParams`` objects are built only at epoch boundaries (the trace),
 with ``keep_iterates`` and for the returned results.  The public step
 functions and :func:`reset_stat` wrap the same array maps; the truncated ones
@@ -123,17 +125,21 @@ def region_contains(theta: MixtureParams, region: TruncationRegion) -> bool:
 
 
 def _inside(p: _Stacked, region: TruncationRegion) -> bool:
-    """:func:`region_contains` on stacked arrays: one batched ``eigvalsh``."""
+    """:func:`region_contains` on stacked arrays: one batched ``eigvalsh``.
+
+    Each bound is tested on one extreme value.  As in an elementwise test, a
+    NaN weight or mean coordinate is never out of bounds (``fmin``/``fmax``
+    skip it) and a NaN eigenvalue or rate is never in bounds."""
     m = float(region.m)
-    if (p.weights < 1.0 / (region.c1 + m)).any():
+    if np.fmin.reduce(p.weights) < 1.0 / (region.c1 + m):
         return False
     lo, hi = 1.0 / (region.c3 + m), region.c3 + m
     if p.family == "gaussian":
-        if (np.abs(p.means) > region.c2 + m).any():
+        if np.fmax.reduce(np.abs(p.means), axis=None) > region.c2 + m:
             return False
         eigs = np.linalg.eigvalsh(p.covs)
-        return bool((eigs[:, 0] >= lo).all() and (eigs[:, -1] <= hi).all())
-    return bool((p.rates >= lo).all() and (p.rates <= hi).all())
+        return bool(eigs[:, 0].min() >= lo and eigs[:, -1].max() <= hi)
+    return bool(p.rates.min() >= lo and p.rates.max() <= hi)
 
 
 def _project(p: _Stacked, region: TruncationRegion, margin: float = 0.0) -> _Stacked:
@@ -218,7 +224,8 @@ def _advance(
     of its M-step image and ``batch`` a validated (n, d) matrix.  With a
     ``region`` the step is truncated and a reset goes through :func:`_reset`.
     """
-    candidate = _blend(stats, _estep(batch, params), gamma)
+    sbar = _estep(batch, params)
+    candidate = _blend(stats, sbar, gamma)
     if region is None:
         return candidate, _mstep(candidate, params.family), None
     try:
@@ -228,7 +235,7 @@ def _advance(
         inside = False
     if inside:
         return candidate, theta, region
-    stats, theta = _reset(params, batch, region)
+    stats, theta = _reset(params, sbar, region)
     return stats, theta, region.grown()
 
 
@@ -277,13 +284,15 @@ def reset_stat(state: EmState, batch: np.ndarray) -> SuffStats:
     """
     region = _region_of(state)
     data = _as_data_matrix(batch, state.theta.dim)
-    return SuffStats(*_reset(_stack(state.theta), data, region)[0])
+    params = _stack(state.theta)
+    return SuffStats(*_reset(params, _estep(data, params), region)[0])
 
 
-def _reset(params: _Stacked, batch: np.ndarray, region: TruncationRegion) -> tuple:
-    """:func:`reset_stat` on arrays: the statistic blocks and their factored M-step image."""
+def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
+    """:func:`reset_stat` on arrays, given the batch E-step ``sbar`` at
+    ``params``: the statistic blocks and their factored M-step image."""
     try:
-        anchor = _mstep(_estep(batch, params), params.family)
+        anchor = _mstep(sbar, params.family)
     except (EmptyComponentError, DegenerateComponentError):
         anchor = params
     base = replace(region, m=0)
@@ -414,21 +423,31 @@ def run(
         per_epoch = math.ceil(n / config.batch_size)
         rng = np.random.default_rng(config.seed)
 
-    def draw() -> np.ndarray:
-        return data if full else data.take(rng.integers(0, n, size=config.batch_size), axis=0)
+    def batches():
+        """Every iteration's batch: the data itself (batch EM), or rows drawn
+        with one index call per epoch, which yields the same stream as one
+        call per batch and holds at most n + N - 1 indices."""
+        for _ in range(config.epochs):
+            if full:
+                yield data
+            else:
+                for rows in rng.integers(0, n, size=(per_epoch, config.batch_size)):
+                    yield data.take(rows, axis=0)
 
     try:
         params = _stack(init)
-        # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
-        stats = _stats(params) if full else _estep(draw(), params)
+        if full:
+            # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
+            stats = _stats(params)
+        else:
+            stats = _estep(data.take(rng.integers(0, n, size=config.batch_size), axis=0), params)
     except EstimationError as exc:
         raise EngineRunError(0, str(exc)) from exc
     region = config.truncation if truncated else None
     total = config.epochs * per_epoch
     acc = None
     trace, polyak_trace, iterates = [], [], []
-    for r in range(1, total + 1):
-        batch = draw()
+    for r, batch in enumerate(batches(), start=1):
         gamma = 1.0 if full else config.learning_rate.at(r)
         try:
             stats, params, region = _advance(stats, params, batch, gamma, region)

@@ -146,11 +146,15 @@ def template_theta(source) -> MixtureParams | None:
     return None
 
 
-def resolve_source(spec: ExperimentSpec):
-    """Materialize (data, true_labels, true_theta) for a spec's data source."""
+def resolve_source(spec: ExperimentSpec, theta_true: MixtureParams | None = None):
+    """Materialize (data, true_labels, true_theta) for a spec's data source.
+
+    A synthetic source samples from ``theta_true`` when given (the caller's
+    :func:`template_theta` of the same source), else builds it.
+    """
     src = spec.source
     if isinstance(src, (TemplateSource, ThetaSource)):
-        theta = template_theta(src)
+        theta = template_theta(src) if theta_true is None else theta_true
         rng = np.random.default_rng(derive_seed(spec.master_seed, "data"))
         data, labels = sample(theta, src.n, rng)
         return data, labels, theta
@@ -288,13 +292,14 @@ def _run_task(args) -> RunRow:
         )
 
 
-def run_experiment(spec: ExperimentSpec) -> ResultsTable:
+def run_experiment(spec: ExperimentSpec, theta_true: MixtureParams | None = None) -> ResultsTable:
     """Execute the full grid and return one row per (variant, repetition).
 
     Each repetition's randomized initialization is consumed by every variant;
     per-run failures are recorded in the row rather than aborting the grid.
+    ``theta_true`` is passed on to :func:`resolve_source`.
     """
-    data, labels, theta_true = resolve_source(spec)
+    data, labels, theta_true = resolve_source(spec, theta_true)
     inits = []
     for rep in range(spec.repetitions):
         rng = np.random.default_rng(derive_seed(spec.master_seed, "init", rep))

@@ -41,8 +41,9 @@ on blocks of at most ``_BLOCK`` rows.  Each block is transposed once to
 GEMM by its inverse Cholesky factor L_z^-1 (never L^-1 y - L^-1 mu, which
 cancels when |mu| is much larger than the spread), and the log-weighted
 matrix, responsibilities, mass, first moment and scatter come from
-contiguous (g, b) rows, summed over blocks.  L^-1 is computed per pass, and
-only when it has more than one row to whiten.  A single observation keeps the
+contiguous (g, b) rows, summed over blocks.  L^-1 is computed once per pass.
+A single Gaussian observation has its own kernel (``_row_log_weighted``,
+``_row_estep``), with no blocks, transposes or division by n.  It keeps the
 triangular solve: batch-size-1 truncated runs are chaotic, so a last-bit
 change in one step moves their whole trajectory, and they stay bit-identical
 to the solve-based arithmetic.
@@ -106,19 +107,25 @@ def pack_symmetric(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float)[_triu(m.shape[0])]
 
 
+@lru_cache(maxsize=None)
+def _unpack_index(d: int) -> np.ndarray:
+    """(d, d) position in the packed upper triangle of each entry of a d x d
+    symmetric matrix (read-only, shared)."""
+    rows, cols = _triu(d)
+    index = np.empty((d, d), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(rows.size)
+    index.flags.writeable = False
+    return index
+
+
 def unpack_symmetric(v: np.ndarray, d: int) -> np.ndarray:
     """Rebuild the full symmetric matrix (or a stack of them, one per row of
     ``v``) from its packed upper triangle.
 
-    The result is exactly symmetric: both triangles are written from the
+    The result is exactly symmetric: both triangles are gathered from the
     same packed entries.
     """
-    rows, cols = _triu(d)
-    v = np.asarray(v, dtype=float)
-    m = np.zeros(v.shape[:-1] + (d, d))
-    m[..., rows, cols] = v
-    m[..., cols, rows] = v
-    return m
+    return np.asarray(v, dtype=float)[..., _unpack_index(d)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +334,10 @@ def _blend(s: tuple, t: tuple, gamma: float) -> tuple:
     engines; total mass 1 is preserved up to rounding.
     """
     keep = 1.0 - gamma
-    return tuple(None if a is None else keep * a + gamma * b for a, b in zip(s, t))
+    mass = keep * s[0] + gamma * t[0]
+    moment1 = keep * s[1] + gamma * t[1]
+    moment2 = None if s[2] is None else keep * s[2] + gamma * t[2]
+    return mass, moment1, moment2
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +375,7 @@ class _Stacked(NamedTuple):
 
 def _log_norms(chols: np.ndarray) -> np.ndarray:
     """d log 2pi + log det Sigma per component, from the Cholesky factors."""
-    return chols.shape[-1] * _LOG_2PI + 2.0 * np.log(np.diagonal(chols, axis1=-2, axis2=-1)).sum(axis=-1)
+    return chols.shape[-1] * _LOG_2PI + 2.0 * np.log(chols.diagonal(0, -2, -1)).sum(axis=-1)
 
 
 def _stack(theta: MixtureParams) -> _Stacked:
@@ -401,11 +411,10 @@ def _as_data_matrix(y: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
-def _inverse_factors(p: _Stacked, n: int) -> np.ndarray | None:
+def _inverse_factors(p: _Stacked) -> np.ndarray | None:
     """Inverse Cholesky factors L^-1 (g, d, d) of a Gaussian stack, for a
-    pass over ``n`` > 1 rows; None where no GEMM whitening runs (one
-    observation, rate families)."""
-    if p.family != "gaussian" or n == 1:
+    blocked pass; None for rate families."""
+    if p.family != "gaussian":
         return None
     inv = np.empty_like(p.chols)
     for z, chol in enumerate(p.chols):
@@ -445,15 +454,7 @@ def _block_log_weighted(yt: np.ndarray, p: _Stacked, inv: np.ndarray | None, out
         return out
     for z in range(out.shape[0]):
         # Centre before whitening: L^-1 y - L^-1 mu cancels when |mu| >> spread.
-        diff = yt - p.means[z][:, None]
-        if inv is None:
-            # One observation keeps the triangular solve, so batch-size-1 runs,
-            # which are chaotic under truncation, keep their bits.  The call
-            # scipy.linalg.solve_triangular(chol, diff, lower=True) makes for
-            # a C-ordered factor (every np.linalg.cholesky slice is).
-            x, _ = _TRTRS(p.chols[z].T, diff, lower=0, trans=1, overwrite_b=1)
-        else:
-            x = inv[z] @ diff
+        x = inv[z] @ (yt - p.means[z][:, None])
         np.einsum("dn,dn->n", x, x, out=out[z])
     # log pi_z + -0.5 * (log_norm_z + quad), one operation at a time over all
     # components: the same rounding as the per-component expression.
@@ -463,11 +464,36 @@ def _block_log_weighted(yt: np.ndarray, p: _Stacked, inv: np.ndarray | None, out
     return out
 
 
+def _row_log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
+    """(g,) log pi_z + log f(y; omega_z) of one observation ``y`` (d,) at a
+    factored Gaussian stack.
+
+    One observation keeps the triangular solve: batch-size-1 runs, which are
+    chaotic under truncation, keep their bits.  Each solve is the call
+    scipy.linalg.solve_triangular(chol, diff, lower=True) makes for a
+    C-ordered factor (every np.linalg.cholesky slice is), on a (d, 1)
+    column.  The squared norms are one "dn,dn->n" contraction with a leading
+    component axis, which sums each column as the per-column call does.
+    """
+    # All g centred columns at once, each overwritten by its whitened column.
+    xs = (y - p.means)[:, :, None]
+    for z, (diff, chol) in enumerate(zip(xs, p.chols)):
+        xs[z], _ = _TRTRS(chol.T, diff, lower=0, trans=1)
+    out = np.einsum("zdn,zdn->zn", xs, xs)[:, 0]
+    out += p.log_norms
+    out *= -0.5
+    out += p.log_weights
+    return out
+
+
 def _log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
     """(g, n) matrix of log pi_z + log f(y_i; omega_z) over validated rows
-    ``y`` at a factored stack, computed block by block."""
+    ``y`` at a factored stack, computed block by block (one Gaussian row by
+    :func:`_row_log_weighted`)."""
+    if p.family == "gaussian" and y.shape[0] == 1:
+        return _row_log_weighted(y[0], p)[:, None]
     lw = np.empty((p.weights.shape[0], y.shape[0]))
-    inv = _inverse_factors(p, y.shape[0])
+    inv = _inverse_factors(p)
     for start, yt in _blocks(y):
         _block_log_weighted(yt, p, inv, lw[:, start : start + yt.shape[1]])
     return lw
@@ -538,14 +564,17 @@ def _estep(y: np.ndarray, p: _Stacked) -> tuple:
     rows ``y`` at a factored stack (``moment2`` is None for rate families).
 
     Works block by block on (g, b) responsibilities; the first block's sums
-    start the totals, so a single block allocates no accumulators.
+    start the totals, so a single block allocates no accumulators.  One
+    Gaussian observation goes through :func:`_row_estep`.
     """
     n, d = y.shape
     if n < 1:
         raise InvalidInputError("the E-step needs at least one observation")
-    g = p.weights.shape[0]
     gaussian = p.family == "gaussian"
-    inv = _inverse_factors(p, n)
+    if gaussian and n == 1:
+        return _row_estep(y[0], p)
+    g = p.weights.shape[0]
+    inv = _inverse_factors(p)
     total = None
     for _, yt in _blocks(y):
         lw = _block_log_weighted(yt, p, inv, np.empty((g, yt.shape[1])))
@@ -561,6 +590,23 @@ def _estep(y: np.ndarray, p: _Stacked) -> tuple:
         return mass, moment1, None
     rows, cols = _triu(d)
     return mass, moment1, total[2][:, rows, cols] / n
+
+
+def _row_estep(y: np.ndarray, p: _Stacked) -> tuple:
+    """:func:`_estep` of one observation ``y`` (d,) at a factored Gaussian
+    stack: tau, tau y and the packed (tau y_i) y_j, the products the blocked
+    pass forms, in its order, without its division by n = 1."""
+    lw = _row_log_weighted(y, p)
+    # _normalise on one column: its array-shaped checks would cost more than
+    # this scalar form, with the same arithmetic.
+    top = lw.max()
+    if not math.isfinite(top):
+        raise DegeneratePointError("observation has zero density under every component")
+    tau = np.exp(lw - top)
+    tau /= tau.sum()
+    moment1 = tau[:, None] * y
+    rows, cols = _triu(y.shape[0])
+    return tau, moment1, moment1[:, rows] * y[cols]
 
 
 def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
@@ -583,7 +629,8 @@ def _cholesky_or_raise(covs: np.ndarray) -> np.ndarray:
     On failure, raises :class:`DegenerateCovarianceError` naming the first
     component that is non-finite or not positive definite.
     """
-    if np.isfinite(covs).all():
+    # A finite sum means finite entries; an overflowing one takes the slow path.
+    if math.isfinite(covs.sum()):
         try:
             return np.linalg.cholesky(covs)
         except np.linalg.LinAlgError:
@@ -605,12 +652,15 @@ def _mstep(stats: tuple, family: str) -> _Stacked:
     """M-step kernel: the factored stack maximizing the objective at
     ``(mass, moment1, moment2)``; raises as :func:`theta_bar` does."""
     mass, moment1, moment2 = stats
-    if not np.isfinite(mass).all():
-        raise InvalidInputError("non-finite statistic mass")
-    if (mass <= S1_FLOOR).any():
-        z = int(np.argmin(mass))
-        raise EmptyComponentError(f"component {z} mass {mass[z]:.3e} at or below floor {S1_FLOOR}")
-    weights = mass / mass.sum()
+    total = mass.sum()
+    # A finite total and a smallest mass above the floor clear both checks.
+    if not (math.isfinite(total) and mass.min() > S1_FLOOR):
+        if not np.isfinite(mass).all():
+            raise InvalidInputError("non-finite statistic mass")
+        if (mass <= S1_FLOOR).any():
+            z = int(np.argmin(mass))
+            raise EmptyComponentError(f"component {z} mass {mass[z]:.3e} at or below floor {S1_FLOOR}")
+    weights = mass / total
 
     if family == "gaussian":
         means = moment1 / mass[:, None]

@@ -752,9 +752,19 @@ def _poisson_case(algorithm, polyak):
     return data, cfg, init
 
 
+def _poisson_uneven_case(algorithm, polyak):
+    # batch size 7 does not divide n = 300: each epoch draws 43 batches
+    # (301 indices), so a draw that follows n rather than the batches of an
+    # epoch falls out of step with the replay from the second epoch on
+    data, cfg, init = _poisson_case(algorithm, polyak)
+    return data, replace(cfg, batch_size=7), init
+
+
 @pytest.mark.parametrize("polyak", [False, True], ids=["plain", "polyak"])
 @pytest.mark.parametrize("algorithm", ["minibatch", "truncated-minibatch"])
-@pytest.mark.parametrize("case", [_iris_case, _poisson_case], ids=["gaussian", "poisson"])
+@pytest.mark.parametrize(
+    "case", [_iris_case, _poisson_case, _poisson_uneven_case], ids=["gaussian", "poisson", "poisson-b7"]
+)
 def test_run_is_iterated_public_steps(case, algorithm, polyak):
     # run() iterates on stacked arrays; every record entry must equal the
     # object-level steps replayed on the same draws, bit for bit

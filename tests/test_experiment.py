@@ -388,6 +388,25 @@ def test_cli_bench_prints_json(tmp_path, capsys):
     assert payload["status"] == "ok"
 
 
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_cli_builds_the_template_once(tmp_path, monkeypatch, command):
+    # the default g, the sampled data and meta.json share one template fit
+    import mbem.experiment
+
+    reads = []
+    original = mbem.experiment.read_labeled_csv
+    monkeypatch.setattr(mbem.experiment, "read_labeled_csv", lambda path: reads.append(path) or original(path))
+    out = tmp_path / "out"
+    rc = cli_main([
+        command, "--template", str(IRIS_CSV), "--n", "200", "--epochs", "1",
+        "--variant", "em", "--out-dir", str(out),
+    ])
+    assert rc == 0
+    assert reads == [str(IRIS_CSV)]
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["g"] == 3 and meta["template_theta"]["family"] == "gaussian"
+
+
 def test_cli_simulate_requires_out_dir():
     with pytest.raises(SystemExit):
         cli_main(["simulate", "--template", str(IRIS_CSV), "--n", "100"])
