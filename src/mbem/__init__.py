@@ -17,7 +17,6 @@ from .engine import (
     region_contains,
     reset_stat,
     run,
-    truncated_minibatch_step,
 )
 from .families import (
     Exponential,
@@ -65,5 +64,4 @@ __all__ = [
     "sample",
     "squared_error",
     "theta_bar",
-    "truncated_minibatch_step",
 ]

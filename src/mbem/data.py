@@ -234,6 +234,15 @@ def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
 # initialization and baseline clustering
 # ---------------------------------------------------------------------------
 
+def _fit_block(block: np.ndarray) -> tuple:
+    """Maximum-likelihood Gaussian of a block of rows: the mean and the
+    centred scatter divided by the row count, symmetrised."""
+    mean = block.mean(axis=0)
+    centered = block - mean
+    cov = centered.T @ centered / block.shape[0]
+    return mean, (cov + cov.T) / 2.0
+
+
 def random_partition_init(
     data: np.ndarray,
     g: int,
@@ -260,11 +269,7 @@ def random_partition_init(
             continue
         comps = []
         for z in range(g):
-            block = data[labels == z]
-            mean = block.mean(axis=0)
-            centered = block - mean
-            cov = centered.T @ centered / counts[z]
-            cov = (cov + cov.T) / 2.0
+            mean, cov = _fit_block(data[labels == z])
             try:
                 np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
@@ -369,10 +374,6 @@ def template_from_labeled_data(features: np.ndarray, classes: np.ndarray) -> Mix
         block = features[classes == cid]
         if block.shape[0] < features.shape[1] + 1:
             raise InvalidInputError(f"class {cid} has too few rows to fit a covariance")
-        mean = block.mean(axis=0)
-        centered = block - mean
-        cov = centered.T @ centered / block.shape[0]
-        cov = (cov + cov.T) / 2.0
-        comps.append(Gaussian(mean, cov))
+        comps.append(Gaussian(*_fit_block(block)))
     g = len(ids)
     return MixtureParams(np.full(g, 1.0 / g), tuple(comps))

@@ -6,10 +6,12 @@ The mini-batch update follows the stochastic-approximation form
     theta_r = theta_bar(s_r),
 
 with batch size 1 recovering the online update and gamma = 1 with the full
-data recovering one batch EM sweep.  The truncated variant tests the
-candidate parameter against a growing family of compact regions; leaving the
-current region triggers a reset to a projected statistic inside the base
-region and grows the region index by one.
+data recovering one batch EM sweep.  A truncation region added to the same
+step gives the truncated variant: it tests the candidate parameter against a
+growing family of compact regions; leaving the current region triggers a
+reset to a projected statistic inside the base region and grows the region
+index by one.  So two values choose the variant: the batch size (none for
+batch EM) and the region (none for untruncated EM).
 
 :func:`run` iterates on stacked arrays: the statistic blocks
 ``(mass, moment1, moment2)`` and the parameter stack of
@@ -22,15 +24,15 @@ arrays, and hands back the factored M-step image it tested.  Batch indices
 are drawn with one generator call per epoch.
 ``MixtureParams`` objects are built only at epoch boundaries (the trace),
 with ``keep_iterates`` and for the returned results.  The public step
-functions and :func:`reset_stat` wrap the same array maps; the truncated ones
-read the region from the state they are given.
+functions and :func:`reset_stat` wrap the same array maps and read the region
+from the state they are given.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -188,8 +190,8 @@ class EmState:
 
     ``theta`` equals the M-step image of ``stats`` after every completed step;
     before the first step it is the supplied initializer.  ``region`` is the
-    current truncation region; the truncated step and :func:`reset_stat`
-    require it.
+    current truncation region: with one, :func:`minibatch_step` is truncated;
+    :func:`reset_stat` requires it.
     """
 
     stats: SuffStats
@@ -204,8 +206,8 @@ class EmState:
 def batch_em_step(data: np.ndarray, theta: MixtureParams) -> MixtureParams:
     """One full E+M sweep over ``data``.
 
-    Reference for :func:`run` with ``algorithm="batch"``, whose per-epoch
-    trace equals iterated calls of this function bit for bit.
+    Reference for :func:`run` without a batch size (batch EM), whose
+    per-epoch trace equals iterated calls of this function bit for bit.
     """
     return theta_bar(mean_sbar(data, theta), theta.family_tag)
 
@@ -239,36 +241,20 @@ def _advance(
     return stats, theta, region.grown()
 
 
-def _step(state: EmState, batch: np.ndarray, gamma: float, region: TruncationRegion | None) -> tuple:
-    """:func:`_advance` from the objects of ``state``; validates ``batch``."""
-    data = _as_data_matrix(batch, state.theta.dim)
-    s = state.stats
-    return _advance((s.mass, s.moment1, s.moment2), _stack(state.theta), data, gamma, region)
-
-
-def _region_of(state: EmState) -> TruncationRegion:
-    if state.region is None:
-        raise InvalidInputError("truncated EM needs a state with a region, got region=None")
-    return state.region
-
-
 def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
-    """One untruncated stochastic-approximation step."""
-    _check_gamma(gamma)
-    stats, params, _ = _step(state, batch, gamma, None)
-    return replace(state, stats=SuffStats(*stats), theta=params.mixture())
+    """One stochastic-approximation step, truncated when ``state.region`` is set.
 
-
-def truncated_minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
-    """One truncated step: accept the candidate inside ``state.region``, else reset.
-
-    A candidate whose M-step image is undefined (empty component, degenerate
-    covariance, nonpositive rate) counts as outside the region.  On reset the
-    returned state carries the grown region.  Raises
-    :class:`InvalidInputError` when ``state.region`` is None.
+    Without a region the candidate is always accepted.  With one, a
+    candidate outside ``state.region``, or whose M-step image is undefined
+    (empty component, degenerate covariance, nonpositive rate), is replaced
+    by a reset, and the returned state carries the grown region.
     """
     _check_gamma(gamma)
-    stats, params, region = _step(state, batch, gamma, _region_of(state))
+    data = _as_data_matrix(batch, state.theta.dim)
+    s = state.stats
+    stats, params, region = _advance(
+        (s.mass, s.moment1, s.moment2), _stack(state.theta), data, gamma, state.region
+    )
     return EmState(SuffStats(*stats), params.mixture(), region)
 
 
@@ -282,10 +268,11 @@ def reset_stat(state: EmState, batch: np.ndarray) -> SuffStats:
     given its inputs.  Raises :class:`InvalidInputError` when
     ``state.region`` is None.
     """
-    region = _region_of(state)
+    if state.region is None:
+        raise InvalidInputError("reset_stat needs a state with a region, got region=None")
     data = _as_data_matrix(batch, state.theta.dim)
     params = _stack(state.theta)
-    return SuffStats(*_reset(params, _estep(data, params), region)[0])
+    return SuffStats(*_reset(params, _estep(data, params), state.region)[0])
 
 
 def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
@@ -348,23 +335,29 @@ def _average(acc: _Stacked | None, new: _Stacked, i: int) -> _Stacked:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """One algorithm run: variant, budget, schedule, truncation, seed."""
+    """One run: budget, batch size, schedule, truncation region, averaging, seed.
 
-    algorithm: str = "minibatch"  # "batch" | "minibatch" | "truncated-minibatch"
+    The batch size and the region choose the variant.  ``batch_size=None``
+    is batch EM; a batch size N is mini-batch EM (online EM at N = 1),
+    truncated when ``truncation`` holds a region.  A region needs a batch
+    size: there is no truncated batch EM.
+    """
+
     epochs: int = 10
     batch_size: int | None = None
     learning_rate: LearningRate = DEFAULT_LEARNING_RATE
-    truncation: TruncationRegion = field(default_factory=TruncationRegion)
+    truncation: TruncationRegion | None = None
     polyak: bool = False
     seed: int = 0
 
     def __post_init__(self):
-        if self.algorithm not in ("batch", "minibatch", "truncated-minibatch"):
-            raise InvalidInputError(f"unknown algorithm {self.algorithm!r}")
         if self.epochs < 1:
             raise InvalidInputError("epoch budget must be at least 1")
-        if self.algorithm != "batch" and (self.batch_size is None or self.batch_size < 1):
-            raise InvalidInputError("mini-batch algorithms need a positive batch size")
+        if self.batch_size is None:
+            if self.truncation is not None:
+                raise InvalidInputError("truncated EM needs a batch size; batch EM takes no region")
+        elif self.batch_size < 1:
+            raise InvalidInputError(f"batch size must be at least 1, got {self.batch_size}")
 
 
 @dataclass
@@ -391,21 +384,23 @@ def run(
 ) -> RunRecord:
     """Execute one configured run and record its trace.
 
-    Mini-batch variants perform epochs * ceil(n / N) iterations on batches
-    drawn uniformly with replacement by ``default_rng(config.seed)``, the
-    run's only source of randomness, starting from the E-step average of one
-    such batch at ``init``.  Batch EM is the same loop with the whole data
-    set as the batch and gamma_r = 1: one iteration per epoch, no draws,
-    starting from the statistic whose M-step image is ``init``.  The trace is
-    recorded at epoch boundaries.  ``truncation_events`` is the number of
-    resets, the growth of the region index m over the run.  Identical seed
-    and config give a bit-identical record apart from the timing fields.
+    ``config.batch_size`` and ``config.truncation`` choose the variant (see
+    :class:`RunConfig`).  Mini-batch variants perform epochs * ceil(n / N)
+    iterations on batches drawn uniformly with replacement by
+    ``default_rng(config.seed)``, the run's only source of randomness,
+    starting from the E-step average of one such batch at ``init``.  Batch
+    EM is the same loop with the whole data set as the batch and gamma_r = 1:
+    one iteration per epoch, no draws, starting from the statistic whose
+    M-step image is ``init``.  The trace is recorded at epoch boundaries.
+    ``truncation_events`` is the number of resets, the growth of the region
+    index m over the run.  Identical seed and config give a bit-identical
+    record apart from the timing fields.
 
     The loop works on stacked arrays (see the module docstring).  ``data``
     is checked once: a non-finite row or a wrong width raises
     :class:`EngineRunError` at iteration 0.  The record equals iterating
-    :func:`minibatch_step` or :func:`truncated_minibatch_step`, and
-    :func:`polyak_update`, on the same draws, bit for bit.
+    :func:`minibatch_step` from a state that carries ``config.truncation``,
+    and :func:`polyak_update`, on the same draws, bit for bit.
     """
     wall0, cpu0 = time.perf_counter(), time.process_time()
     try:
@@ -413,8 +408,7 @@ def run(
     except InvalidInputError as exc:
         raise EngineRunError(0, str(exc)) from exc
     n = data.shape[0]
-    full = config.algorithm == "batch"
-    truncated = config.algorithm == "truncated-minibatch"
+    full = config.batch_size is None
     if full:
         per_epoch = 1
     else:
@@ -443,7 +437,7 @@ def run(
             stats = _estep(data.take(rng.integers(0, n, size=config.batch_size), axis=0), params)
     except EstimationError as exc:
         raise EngineRunError(0, str(exc)) from exc
-    region = config.truncation if truncated else None
+    region = config.truncation
     total = config.epochs * per_epoch
     acc = None
     trace, polyak_trace, iterates = [], [], []
@@ -470,7 +464,7 @@ def run(
         trace=trace,
         polyak_trace=polyak_trace,
         iterations=total,
-        truncation_events=region.m - config.truncation.m if truncated else 0,
+        truncation_events=0 if region is None else region.m - config.truncation.m,
         wall_time=time.perf_counter() - wall0,
         cpu_time=time.process_time() - cpu0,
         iterates=iterates if keep_iterates else None,

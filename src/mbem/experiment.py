@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Union
 
 import numpy as np
@@ -174,29 +174,6 @@ def resolve_source(spec: ExperimentSpec, theta_true: MixtureParams | None = None
 # result rows
 # ---------------------------------------------------------------------------
 
-RESULTS_COLUMNS = (
-    "variant",
-    "rep",
-    "seed",
-    "status",
-    "loglik",
-    "loglik_per_obs",
-    "se",
-    "ari",
-    "iterations",
-    "truncation_events",
-    "wall_time_s",
-    "cpu_time_s",
-)
-
-#: Excluded from determinism comparisons.
-TIMING_COLUMNS = ("wall_time_s", "cpu_time_s")
-
-METRIC_COLUMNS = ("loglik", "loglik_per_obs", "se", "ari", "truncation_events", "wall_time_s")
-
-RESULTS_SCHEMA_VERSION = 1
-
-
 @dataclass
 class RunRow:
     variant: str
@@ -211,6 +188,17 @@ class RunRow:
     truncation_events: int
     wall_time_s: float
     cpu_time_s: float
+
+
+#: ``results.csv`` columns: the fields of :class:`RunRow`, in order.
+RESULTS_COLUMNS = tuple(f.name for f in fields(RunRow))
+
+#: Excluded from determinism comparisons.
+TIMING_COLUMNS = ("wall_time_s", "cpu_time_s")
+
+METRIC_COLUMNS = ("loglik", "loglik_per_obs", "se", "ari", "truncation_events", "wall_time_s")
+
+RESULTS_SCHEMA_VERSION = 1
 
 
 @dataclass
@@ -242,42 +230,29 @@ def _evaluate(theta, data, labels, theta_true, runtime: float) -> MetricReport:
 
 
 def _run_task(args) -> RunRow:
-    variant, rep, init_theta, init_labels, seed, lr, trunc, epochs, g = args
+    """One grid cell from ``(variant, rep, init_theta, init_labels, config)``;
+    k-means takes its epoch budget from ``config``."""
+    variant, rep, init_theta, init_labels, config = args
     data, labels, theta_true = _CTX
     n = data.shape[0]
     wall0, cpu0 = time.perf_counter(), time.process_time()
 
     if variant.algorithm == "kmeans":
-        fitted, _ = kmeans(data, g, epochs, init_labels=init_labels)
+        fitted, _ = kmeans(data, init_theta.g, config.epochs, init_labels=init_labels)
         wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
         ari = adjusted_rand_index(fitted, labels) if labels is not None else float("nan")
         return RunRow(
-            variant.vid, rep, seed, "ok",
+            variant.vid, rep, config.seed, "ok",
             float("nan"), float("nan"), float("nan"), ari,
-            epochs, 0, wall, cpu,
+            config.epochs, 0, wall, cpu,
         )
 
-    algorithm = {"em": "batch", "mb": "minibatch", "mb-trunc": "truncated-minibatch"}[
-        variant.algorithm
-    ]
-    batch_size = None
-    if variant.fraction is not None:
-        batch_size = min(n, max(1, int(round(variant.fraction * n))))
-    config = RunConfig(
-        algorithm=algorithm,
-        epochs=epochs,
-        batch_size=batch_size,
-        learning_rate=lr,
-        truncation=trunc,
-        polyak=variant.polyak,
-        seed=seed,
-    )
     try:
         record = run(data, config, init_theta)
         theta = record.polyak_theta if variant.polyak else record.final_theta
         report = _evaluate(theta, data, labels, theta_true, record.wall_time)
         return RunRow(
-            variant.vid, rep, seed, "ok",
+            variant.vid, rep, config.seed, "ok",
             report.loglik, report.loglik / n, report.se, report.ari,
             record.iterations, record.truncation_events,
             report.runtime_seconds, record.cpu_time,
@@ -285,7 +260,7 @@ def _run_task(args) -> RunRow:
     except EstimationError as exc:
         iteration = exc.iteration if isinstance(exc, EngineRunError) else 0
         return RunRow(
-            variant.vid, rep, seed, f"error:{type(exc).__name__}",
+            variant.vid, rep, config.seed, f"error:{type(exc).__name__}",
             float("nan"), float("nan"), float("nan"), float("nan"),
             iteration, 0,
             time.perf_counter() - wall0, time.process_time() - cpu0,
@@ -297,28 +272,30 @@ def run_experiment(spec: ExperimentSpec, theta_true: MixtureParams | None = None
 
     Each repetition's randomized initialization is consumed by every variant;
     per-run failures are recorded in the row rather than aborting the grid.
-    ``theta_true`` is passed on to :func:`resolve_source`.
+    ``theta_true`` is passed on to :func:`resolve_source`.  A variant's
+    :class:`RunConfig` carries its batch size (``mb`` and ``mb-trunc``; ``em``
+    is batch EM) and its region (``mb-trunc`` only), which choose the EM
+    variant.
     """
     data, labels, theta_true = resolve_source(spec, theta_true)
+    n = data.shape[0]
     inits = []
     for rep in range(spec.repetitions):
         rng = np.random.default_rng(derive_seed(spec.master_seed, "init", rep))
         inits.append(random_partition_init(data, spec.g, rng, return_labels=True))
-    tasks = [
-        (
-            variant,
-            rep,
-            inits[rep][0],
-            inits[rep][1],
-            derive_seed(spec.master_seed, variant.vid, rep),
-            spec.learning_rate,
-            spec.truncation,
-            spec.epochs,
-            spec.g,
-        )
-        for variant in spec.variants
-        for rep in range(spec.repetitions)
-    ]
+    tasks = []
+    for variant in spec.variants:
+        minibatch = variant.algorithm in ("mb", "mb-trunc")
+        for rep in range(spec.repetitions):
+            config = RunConfig(
+                epochs=spec.epochs,
+                batch_size=min(n, max(1, int(round(variant.fraction * n)))) if minibatch else None,
+                learning_rate=spec.learning_rate,
+                truncation=spec.truncation if variant.algorithm == "mb-trunc" else None,
+                polyak=variant.polyak,
+                seed=derive_seed(spec.master_seed, variant.vid, rep),
+            )
+            tasks.append((variant, rep, *inits[rep], config))
     if spec.workers <= 1:
         _init_worker(data, labels, theta_true)
         rows = [_run_task(task) for task in tasks]
@@ -336,6 +313,16 @@ def run_experiment(spec: ExperimentSpec, theta_true: MixtureParams | None = None
 # aggregation
 # ---------------------------------------------------------------------------
 
+def _ok_values(table: ResultsTable, metrics: tuple):
+    """Yield ``(variant, metric, values)``: the finite values of each metric
+    over a variant's ok rows, variants in first-seen order."""
+    for variant in dict.fromkeys(row.variant for row in table.rows):
+        rows = [r for r in table.rows if r.variant == variant and r.status == "ok"]
+        for metric in metrics:
+            values = np.array([getattr(r, metric) for r in rows], dtype=float)
+            yield variant, metric, values[np.isfinite(values)]
+
+
 def summarize(table: ResultsTable) -> list:
     """Per-variant mean/median/standard-error rows for every metric column.
 
@@ -344,29 +331,24 @@ def summarize(table: ResultsTable) -> list:
     """
     if not table.rows:
         raise InvalidInputError("empty results table")
-    order = list(dict.fromkeys(row.variant for row in table.rows))
     out = []
-    for variant in order:
-        rows = [r for r in table.rows if r.variant == variant and r.status == "ok"]
-        for metric in METRIC_COLUMNS:
-            values = np.array([getattr(r, metric) for r in rows], dtype=float)
-            values = values[np.isfinite(values)]
-            if values.size == 0:
-                mean = median = se = float("nan")
-            else:
-                mean = float(values.mean())
-                median = float(np.median(values))
-                se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-            out.append(
-                {
-                    "variant": variant,
-                    "metric": metric,
-                    "count": int(values.size),
-                    "mean": mean,
-                    "median": median,
-                    "se": se,
-                }
-            )
+    for variant, metric, values in _ok_values(table, METRIC_COLUMNS):
+        if values.size == 0:
+            mean = median = se = float("nan")
+        else:
+            mean = float(values.mean())
+            median = float(np.median(values))
+            se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+        out.append(
+            {
+                "variant": variant,
+                "metric": metric,
+                "count": int(values.size),
+                "mean": mean,
+                "median": median,
+                "se": se,
+            }
+        )
     return out
 
 
@@ -378,18 +360,8 @@ def emit_boxplot_data(table: ResultsTable, metric: str) -> list:
     """Per-variant five-number summaries plus Tukey outliers for one metric."""
     if metric not in METRIC_COLUMNS:
         raise InvalidInputError(f"unknown metric {metric!r}")
-    order = list(dict.fromkeys(row.variant for row in table.rows))
     out = []
-    for variant in order:
-        values = np.array(
-            [
-                getattr(r, metric)
-                for r in table.rows
-                if r.variant == variant and r.status == "ok"
-            ],
-            dtype=float,
-        )
-        values = values[np.isfinite(values)]
+    for variant, _, values in _ok_values(table, (metric,)):
         if values.size == 0:
             continue
         q1, med, q3 = (float(np.quantile(values, q)) for q in (0.25, 0.5, 0.75))

@@ -167,8 +167,9 @@ class Gaussian:
 
 
 @dataclass(frozen=True)
-class Exponential:
-    """Exponential component parameterized by its positive rate."""
+class _RateComponent:
+    """Scalar component parameterized by its positive rate; the subclass's
+    family tag names it in messages."""
 
     rate: float
 
@@ -176,7 +177,7 @@ class Exponential:
         rate = float(self.rate)
         object.__setattr__(self, "rate", rate)
         if not math.isfinite(rate) or rate <= 0.0:
-            raise InvalidInputError(f"exponential rate must be positive, got {rate}")
+            raise InvalidInputError(f"{_FAMILY_TAGS[type(self)]} rate must be positive, got {rate}")
 
     @property
     def dim(self) -> int:
@@ -184,20 +185,13 @@ class Exponential:
 
 
 @dataclass(frozen=True)
-class Poisson:
+class Exponential(_RateComponent):
+    """Exponential component parameterized by its positive rate."""
+
+
+@dataclass(frozen=True)
+class Poisson(_RateComponent):
     """Poisson component parameterized by its positive rate."""
-
-    rate: float
-
-    def __post_init__(self):
-        rate = float(self.rate)
-        object.__setattr__(self, "rate", rate)
-        if not math.isfinite(rate) or rate <= 0.0:
-            raise InvalidInputError(f"poisson rate must be positive, got {rate}")
-
-    @property
-    def dim(self) -> int:
-        return 1
 
 
 Component = Union[Gaussian, Exponential, Poisson]

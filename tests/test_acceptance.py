@@ -192,7 +192,6 @@ def test_criterion_3_parameter_recovery():
         gvar = np.atleast_2d(np.cov(data.T))
         init = MixtureParams([0.5, 0.5], (Gaussian([lo], gvar), Gaussian([hi], gvar)))
         cfg = RunConfig(
-            algorithm="minibatch",
             epochs=10,
             batch_size=10_000,
             learning_rate=LearningRate(1.0 - 1e-10, 0.6),
@@ -230,9 +229,9 @@ def test_criterion_4_iris_direction(iris_grid):
 def test_criterion_5_truncation_neutrality(iris_data):
     data, labels, theta_true = iris_data
     init = random_partition_init(data, 3, np.random.default_rng(9))
-    plain_cfg = RunConfig(algorithm="minibatch", epochs=10, batch_size=10_000, seed=55)
+    plain_cfg = RunConfig(epochs=10, batch_size=10_000, seed=55)
     trunc_cfg = RunConfig(
-        algorithm="truncated-minibatch", epochs=10, batch_size=10_000, seed=55,
+        epochs=10, batch_size=10_000, seed=55,
         truncation=TruncationRegion(1000.0, 1000.0, 1000.0),
     )
     plain = run(data, plain_cfg, init)
@@ -252,7 +251,7 @@ def test_criterion_5_truncation_neutrality(iris_data):
         [0.5, 0.5], (Gaussian([0.0], [[1e-9]]), Gaussian([1.0], [[1.0]]))
     )
     forced_cfg = RunConfig(
-        algorithm="truncated-minibatch", epochs=2, batch_size=2_000,
+        epochs=2, batch_size=2_000,
         learning_rate=LearningRate(0.01, 0.6), seed=11,
         truncation=TruncationRegion(1000.0, 1000.0, 1000.0),
     )
@@ -271,7 +270,7 @@ def test_criterion_5_truncation_neutrality(iris_data):
 def test_criterion_6_polyak(iris_data, iris_grid):
     data, labels, theta_true = iris_data
     init = random_partition_init(data, 3, np.random.default_rng(21))
-    cfg = RunConfig(algorithm="minibatch", epochs=10, batch_size=10_000, polyak=True, seed=33)
+    cfg = RunConfig(epochs=10, batch_size=10_000, polyak=True, seed=33)
     rec = run(data, cfg, init, keep_iterates=True)
     per_epoch = rec.iterations // 10
     exact = True

@@ -18,7 +18,6 @@ from mbem.engine import (
     region_contains,
     reset_stat,
     run,
-    truncated_minibatch_step,
 )
 from mbem.errors import (
     DegenerateComponentError,
@@ -284,7 +283,7 @@ def test_truncated_step_matches_plain_when_region_never_binds(rng):
         batch = data[rng.integers(0, len(data), 20)]
         gamma = DEFAULT_LEARNING_RATE.at(r)
         plain = minibatch_step(plain, batch, gamma)
-        trunc = truncated_minibatch_step(trunc, batch, gamma)
+        trunc = minibatch_step(trunc, batch, gamma)
         assert _params_equal(plain.theta, trunc.theta)
         assert np.array_equal(plain.stats.mass, trunc.stats.mass)
     assert trunc.region == region
@@ -298,7 +297,7 @@ def test_truncated_step_resets_on_degenerate_candidate(rng):
     # statistic whose covariance collapses to a point mass: eigenvalue 0
     bad = mean_sbar(np.zeros((4, 1)), init)
     state = EmState(stats=bad, theta=init, region=region)
-    stepped = truncated_minibatch_step(state, data[:10], 1e-6)
+    stepped = minibatch_step(state, data[:10], 1e-6)
     assert stepped.region == replace(region, m=1)
     assert region_contains(stepped.theta, TruncationRegion(1000, 1000, 1000, m=0))
 
@@ -313,7 +312,7 @@ def test_truncation_index_monotone_and_counts_events(rng):
     ms = [0]
     for r in range(1, 15):
         batch = data[rng.integers(0, len(data), 20)]
-        state = truncated_minibatch_step(state, batch, DEFAULT_LEARNING_RATE.at(r))
+        state = minibatch_step(state, batch, DEFAULT_LEARNING_RATE.at(r))
         ms.append(state.region.m)
     diffs = np.diff(ms)
     assert np.all(diffs >= 0)
@@ -324,14 +323,13 @@ def test_truncation_index_monotone_and_counts_events(rng):
 
 
 def test_truncated_step_and_reset_need_a_region(rng):
-    # the truncated maps read the region from the state; without one they
-    # fail typed instead of stepping untruncated or failing inside replace()
+    # the step and the reset read the region from the state; without one the
+    # step is untruncated and the reset fails typed instead of inside replace()
     theta = make_gaussian_mixture(rng, 1, 2)
     data, _ = sample(theta, 40, rng)
     state = EmState(stats=mean_sbar(data[:10], theta), theta=theta)
     assert state.region is None
-    with pytest.raises(InvalidInputError, match="region"):
-        truncated_minibatch_step(state, data[10:20], 0.5)
+    assert minibatch_step(state, data[10:20], 0.5).region is None
     with pytest.raises(InvalidInputError, match="region"):
         reset_stat(state, data[10:20])
 
@@ -565,7 +563,7 @@ def test_polyak_equals_mean_of_trace(rng):
     theta = make_gaussian_mixture(rng, 2, 2)
     data, _ = sample(theta, 500, rng)
     init = random_partition_init(data, 2, rng)
-    cfg = RunConfig(algorithm="minibatch", epochs=5, batch_size=50, polyak=True, seed=9)
+    cfg = RunConfig(epochs=5, batch_size=50, polyak=True, seed=9)
     rec = run(data, cfg, init, keep_iterates=True)
     acc = rec.polyak_theta
     np.testing.assert_allclose(acc.weights, np.mean([t.weights for t in rec.iterates], axis=0), atol=1e-12)
@@ -598,12 +596,12 @@ def test_run_epoch_accounting(rng):
     theta = make_gaussian_mixture(rng, 1, 2)
     data, _ = sample(theta, 1000, rng)
     init = random_partition_init(data, 2, rng)
-    rec = run(data, RunConfig(algorithm="minibatch", epochs=10, batch_size=100, seed=1), init)
+    rec = run(data, RunConfig(epochs=10, batch_size=100, seed=1), init)
     assert rec.iterations == 100
     assert len(rec.trace) == 10
-    rec = run(data, RunConfig(algorithm="minibatch", epochs=10, batch_size=200, seed=1), init)
+    rec = run(data, RunConfig(epochs=10, batch_size=200, seed=1), init)
     assert rec.iterations == 50
-    rec = run(data, RunConfig(algorithm="batch", epochs=10), init)
+    rec = run(data, RunConfig(epochs=10), init)
     assert rec.iterations == 10
 
 
@@ -611,7 +609,7 @@ def test_run_determinism(rng):
     theta = make_gaussian_mixture(rng, 2, 2)
     data, _ = sample(theta, 600, rng)
     init = random_partition_init(data, 2, rng)
-    cfg = RunConfig(algorithm="truncated-minibatch", epochs=4, batch_size=60, polyak=True, seed=77)
+    cfg = RunConfig(epochs=4, batch_size=60, truncation=TruncationRegion(), polyak=True, seed=77)
     a = run(data, cfg, init)
     b = run(data, cfg, init)
     assert _params_equal(a.final_theta, b.final_theta)
@@ -621,26 +619,26 @@ def test_run_determinism(rng):
         assert _params_equal(ta, tb)
 
 
-@pytest.mark.parametrize("algorithm", ["minibatch", "batch"])
-def test_run_wraps_engine_errors_with_iteration_index(algorithm):
+@pytest.mark.parametrize("batch_size", [100, None], ids=["minibatch", "batch"])
+def test_run_wraps_engine_errors_with_iteration_index(batch_size):
     # untruncated run from a degenerate start: one component swallows no points
     data = np.concatenate([np.random.default_rng(0).normal(-4, 1, 500),
                            np.random.default_rng(1).normal(4, 1, 500)])[:, None]
     init = MixtureParams([0.5, 0.5], (Gaussian([0.0], [[1e-9]]), Gaussian([1.0], [[1.0]])))
     with pytest.raises(EngineRunError) as err:
-        run(data, RunConfig(algorithm=algorithm, epochs=2, batch_size=100, seed=3), init)
+        run(data, RunConfig(epochs=2, batch_size=batch_size, seed=3), init)
     assert err.value.iteration == 1
 
 
-@pytest.mark.parametrize("algorithm", ["minibatch", "batch"])
-def test_run_rejects_non_finite_row_at_iteration_zero(algorithm):
+@pytest.mark.parametrize("batch_size", [10, None], ids=["minibatch", "batch"])
+def test_run_rejects_non_finite_row_at_iteration_zero(batch_size):
     # with seed 0 the one mini-batch epoch never draws row 123; the data are
     # invalid all the same and must be rejected before the first step
     truth = MixtureParams([0.5, 0.5], (Gaussian([-3.0], [[1.0]]), Gaussian([3.0], [[1.0]])))
     data, _ = sample(truth, 1000, np.random.default_rng(0))
     data[123, 0] = np.nan
     with pytest.raises(EngineRunError) as err:
-        run(data, RunConfig(algorithm=algorithm, epochs=1, batch_size=10, seed=0), truth)
+        run(data, RunConfig(epochs=1, batch_size=batch_size, seed=0), truth)
     assert err.value.iteration == 0
     assert isinstance(err.value.__cause__, InvalidInputError)
 
@@ -651,7 +649,7 @@ def test_batch_run_is_iterated_batch_em_step(rng):
     theta = make_gaussian_mixture(rng, 2, 3)
     data, _ = sample(theta, 300, rng)
     init = random_partition_init(data, 3, rng)
-    rec = run(data, RunConfig(algorithm="batch", epochs=6, polyak=True), init)
+    rec = run(data, RunConfig(epochs=6, polyak=True), init)
     sweeps, t = [], init
     for _ in range(6):
         t = batch_em_step(data, t)
@@ -673,7 +671,7 @@ def test_run_recovers_poisson_mixture_rates():
     truth = MixtureParams([0.4, 0.6], (Poisson(2.0), Poisson(15.0)))
     data, _ = sample(truth, 50_000, np.random.default_rng(8))
     init = MixtureParams([0.5, 0.5], (Poisson(1.0), Poisson(20.0)))
-    rec = run(data, RunConfig(algorithm="minibatch", epochs=10, batch_size=5_000, seed=2), init)
+    rec = run(data, RunConfig(epochs=10, batch_size=5_000, seed=2), init)
     rates = np.sort(rec.final_theta.rates())
     np.testing.assert_allclose(rates, [2.0, 15.0], atol=0.15)
     np.testing.assert_allclose(np.sort(rec.final_theta.weights), [0.4, 0.6], atol=0.02)
@@ -685,7 +683,7 @@ def test_truncated_run_on_exponential_mixture():
     truth = MixtureParams([0.5, 0.5], (Exponential(0.2), Exponential(5.0)))
     data, _ = sample(truth, 20_000, np.random.default_rng(4))
     init = MixtureParams([0.5, 0.5], (Exponential(0.5), Exponential(2.0)))
-    cfg = RunConfig(algorithm="truncated-minibatch", epochs=10, batch_size=2_000, seed=6)
+    cfg = RunConfig(epochs=10, batch_size=2_000, truncation=TruncationRegion(), seed=6)
     rec = run(data, cfg, init)
     rates = np.sort(rec.final_theta.rates())
     np.testing.assert_allclose(rates, [0.2, 5.0], rtol=0.15)
@@ -696,11 +694,18 @@ def test_run_batch_size_validation(rng):
     theta = make_gaussian_mixture(rng, 1, 1)
     data, _ = sample(theta, 20, rng)
     with pytest.raises(InvalidInputError):
-        run(data, RunConfig(algorithm="minibatch", epochs=1, batch_size=50), theta)
+        run(data, RunConfig(epochs=1, batch_size=50), theta)
+    # without a batch size the run is batch EM: one iteration per epoch
+    rec = run(data, RunConfig(), theta)
+    assert rec.iterations == RunConfig().epochs == len(rec.trace)
+    assert rec.truncation_events == 0
+    # a region needs a batch size: there is no truncated batch EM
     with pytest.raises(InvalidInputError):
-        RunConfig(algorithm="minibatch", epochs=1, batch_size=None)
+        RunConfig(epochs=1, batch_size=None, truncation=TruncationRegion())
     with pytest.raises(InvalidInputError):
-        RunConfig(algorithm="nonsense", epochs=1)
+        RunConfig(truncation=TruncationRegion())
+    with pytest.raises(InvalidInputError):
+        RunConfig(batch_size=0)
 
 
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
@@ -714,16 +719,10 @@ def _replay(data, cfg, init):
     def draw():
         return data[rng.integers(0, n, size=cfg.batch_size)]
 
-    truncated = cfg.algorithm == "truncated-minibatch"
-    region = cfg.truncation if truncated else None
-    state = EmState(stats=mean_sbar(draw(), init), theta=init, region=region)
+    state = EmState(stats=mean_sbar(draw(), init), theta=init, region=cfg.truncation)
     acc, iterates, averages = None, [], []
     for r in range(1, cfg.epochs * math.ceil(n / cfg.batch_size) + 1):
-        batch, gamma = draw(), cfg.learning_rate.at(r)
-        if truncated:
-            state = truncated_minibatch_step(state, batch, gamma)
-        else:
-            state = minibatch_step(state, batch, gamma)
+        state = minibatch_step(state, draw(), cfg.learning_rate.at(r))
         iterates.append(state.theta)
         if cfg.polyak:
             acc = polyak_update(acc, state.theta, r)
@@ -731,44 +730,45 @@ def _replay(data, cfg, init):
     return iterates, averages, state
 
 
-def _iris_case(algorithm, polyak):
+def _iris_case(truncated, polyak):
     rng = np.random.default_rng(11)
     template = template_from_labeled_data(*read_labeled_csv(IRIS_CSV))
     data, _ = sample(template, 600, rng)
     init = random_partition_init(data, 3, rng)
     # batch size 1 makes the truncated run reset; untruncated EM needs a
     # full-rank first statistic, so it gets larger batches
-    batch = 1 if algorithm == "truncated-minibatch" else 20
-    return data, RunConfig(algorithm=algorithm, epochs=2, batch_size=batch, polyak=polyak, seed=5), init
+    batch = 1 if truncated else 20
+    region = TruncationRegion() if truncated else None
+    return data, RunConfig(epochs=2, batch_size=batch, truncation=region, polyak=polyak, seed=5), init
 
 
-def _poisson_case(algorithm, polyak):
+def _poisson_case(truncated, polyak):
     truth = MixtureParams([0.4, 0.6], (Poisson(2.0), Poisson(15.0)))
     data, _ = sample(truth, 300, np.random.default_rng(3))
     init = MixtureParams([0.5, 0.5], (Poisson(1.0), Poisson(5.0)))
     # the rate box [1/(3+m), 3+m] excludes rate 15 until m has grown
-    region = TruncationRegion(20.0, 2.0, 3.0)
-    cfg = RunConfig(algorithm=algorithm, epochs=2, batch_size=4, polyak=polyak, truncation=region, seed=7)
+    region = TruncationRegion(20.0, 2.0, 3.0) if truncated else None
+    cfg = RunConfig(epochs=2, batch_size=4, polyak=polyak, truncation=region, seed=7)
     return data, cfg, init
 
 
-def _poisson_uneven_case(algorithm, polyak):
+def _poisson_uneven_case(truncated, polyak):
     # batch size 7 does not divide n = 300: each epoch draws 43 batches
     # (301 indices), so a draw that follows n rather than the batches of an
     # epoch falls out of step with the replay from the second epoch on
-    data, cfg, init = _poisson_case(algorithm, polyak)
+    data, cfg, init = _poisson_case(truncated, polyak)
     return data, replace(cfg, batch_size=7), init
 
 
 @pytest.mark.parametrize("polyak", [False, True], ids=["plain", "polyak"])
-@pytest.mark.parametrize("algorithm", ["minibatch", "truncated-minibatch"])
+@pytest.mark.parametrize("truncated", [False, True], ids=["minibatch", "truncated-minibatch"])
 @pytest.mark.parametrize(
     "case", [_iris_case, _poisson_case, _poisson_uneven_case], ids=["gaussian", "poisson", "poisson-b7"]
 )
-def test_run_is_iterated_public_steps(case, algorithm, polyak):
+def test_run_is_iterated_public_steps(case, truncated, polyak):
     # run() iterates on stacked arrays; every record entry must equal the
     # object-level steps replayed on the same draws, bit for bit
-    data, cfg, init = case(algorithm, polyak)
+    data, cfg, init = case(truncated, polyak)
     rec = run(data, cfg, init, keep_iterates=True)
     iterates, averages, state = _replay(data, cfg, init)
     per_epoch = math.ceil(len(data) / cfg.batch_size)
@@ -785,7 +785,6 @@ def test_run_is_iterated_public_steps(case, algorithm, polyak):
         assert _params_equal(rec.polyak_theta, averages[-1])
     else:
         assert rec.polyak_theta is None and rec.polyak_trace == []
-    truncated = algorithm == "truncated-minibatch"
     assert rec.truncation_events == (state.region.m - cfg.truncation.m if truncated else 0)
     if truncated:
         assert rec.truncation_events > 0
@@ -793,7 +792,7 @@ def test_run_is_iterated_public_steps(case, algorithm, polyak):
 
 def test_truncation_events_count_from_a_nonzero_start():
     # a region that starts at m = 3 reports the resets of this run only
-    data, cfg, init = _poisson_case("truncated-minibatch", False)
+    data, cfg, init = _poisson_case(True, False)
     cfg = replace(cfg, truncation=replace(cfg.truncation, m=3))
     rec = run(data, cfg, init)
     _, _, state = _replay(data, cfg, init)

@@ -8,7 +8,7 @@ import pytest
 
 from mbem.cli import main as cli_main
 from mbem.data import random_partition_init
-from mbem.engine import LearningRate, RunConfig, TruncationRegion, run
+from mbem.engine import LearningRate, RunConfig, run
 from mbem.experiment import (
     RESULTS_COLUMNS,
     TIMING_COLUMNS,
@@ -118,10 +118,10 @@ def test_single_em_row_matches_manual_run(variant):
     data, labels, theta_true = resolve_source(spec)
     init = random_partition_init(data, 3, np.random.default_rng(derive_seed(5, "init", 0)))
     if variant.algorithm == "em":
-        config = RunConfig(algorithm="batch", epochs=3, seed=derive_seed(5, "em", 0))
+        config = RunConfig(epochs=3, seed=derive_seed(5, "em", 0))
     else:
         config = RunConfig(
-            algorithm="minibatch", epochs=3, batch_size=len(data) // 4, polyak=True,
+            epochs=3, batch_size=len(data) // 4, polyak=True,
             seed=derive_seed(5, variant.vid, 0),
         )
     rec = run(data, config, init)
@@ -185,10 +185,10 @@ def test_failed_run_recorded_not_fatal():
         [0.5, 0.5],
         (Gaussian(np.zeros(4), np.eye(4) * 1e-9), Gaussian(np.ones(4), np.eye(4))),
     )
-    row = _run_task(
-        (VariantSpec("mb", 0.25), 0, bad_init, None, 7, LearningRate(0.9, 0.6),
-         TruncationRegion(), 3, 3)
+    config = RunConfig(
+        epochs=3, batch_size=round(0.25 * len(data)), learning_rate=LearningRate(0.9, 0.6), seed=7
     )
+    row = _run_task((VariantSpec("mb", 0.25), 0, bad_init, None, config))
     assert row.status.startswith("error:")
     assert math.isnan(row.loglik)
 
