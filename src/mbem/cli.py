@@ -8,7 +8,12 @@ Subcommands:
   with PCA, and run the grid plus a k-means baseline.
 * ``bench`` — one single run, metrics printed as JSON.
 
-A JSON config file can provide any option; explicit command-line flags win.
+A variant (``--variant``, repeatable) is one of ``all``, ``em``, ``mb``,
+``mb-polyak``, ``mb-trunc``, ``mb-trunc-polyak`` and ``kmeans``; each ``mb``
+name runs once per batch fraction (``--batch-frac``, repeatable, in (0, 1]).
+Every option resolves the same way from ``_DEFAULTS``: the flag if given,
+else the JSON config file (``--config``), else the default.
+
 Outputs: results.csv, summary.csv, summary.json, boxplot_<metric>.csv, and
 meta.json in the output directory.
 """
@@ -26,6 +31,7 @@ from .experiment import (
     IdxSource,
     TemplateSource,
     ThetaSource,
+    VARIANTS,
     VariantSpec,
     run_experiment,
     template_theta,
@@ -35,8 +41,9 @@ from .experiment import (
     write_summary,
 )
 
-VARIANT_CHOICES = ("all", "em", "mb", "mb-polyak", "mb-trunc", "mb-trunc-polyak", "kmeans")
+VARIANT_CHOICES = ("all",) + VARIANTS
 
+#: Every option and its default; None where there is none.
 _DEFAULTS = {
     "seed": 0,
     "epochs": RunConfig.epochs,
@@ -52,6 +59,12 @@ _DEFAULTS = {
     "c3": TruncationRegion.c3,
     "workers": 1,
     "d_pc": 10,
+    "template": None,
+    "theta": None,
+    "out_dir": None,
+    "images": None,
+    "labels": None,
+    "per_obs_loglik": None,
 }
 
 
@@ -72,7 +85,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c2", type=float, help="truncation mean constant")
     p.add_argument("--c3", type=float, help="truncation eigenvalue constant")
     p.add_argument("--workers", type=int, help="parallel workers over repetitions")
-    p.add_argument("--per-obs-loglik", action="store_true",
+    p.add_argument("--per-obs-loglik", action="store_true", default=None,
                    help="also emit the per-observation log-likelihood boxplot")
 
 
@@ -104,20 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_options(args: argparse.Namespace) -> dict:
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as f:
             config = json.load(f)
     opts = {}
-    for key, fallback in _DEFAULTS.items():
+    for key, default in _DEFAULTS.items():
         value = getattr(args, key, None)
-        if value is None:
-            value = config.get(key, fallback)
-        opts[key] = value
-    for key in ("template", "theta", "n", "out_dir", "images", "labels", "per_obs_loglik"):
-        value = getattr(args, key, None)
-        if value in (None, False):
-            value = config.get(key, value)
-        opts[key] = value
+        opts[key] = config.get(key, default) if value is None else value
     return opts
 
 
@@ -128,17 +134,11 @@ def _expand_variants(names, fractions) -> tuple:
             variants.append(VariantSpec("em"))
             for kind in ("mb", "mb-trunc"):
                 for frac in fractions:
-                    variants.append(VariantSpec(kind, frac, polyak=False))
-                    variants.append(VariantSpec(kind, frac, polyak=True))
-        elif name == "em":
-            variants.append(VariantSpec("em"))
-        elif name == "kmeans":
-            variants.append(VariantSpec("kmeans"))
+                    variants += [VariantSpec(kind, frac), VariantSpec(kind + "-polyak", frac)]
+        elif name in ("em", "kmeans"):
+            variants.append(VariantSpec(name))
         else:
-            kind = "mb-trunc" if name.startswith("mb-trunc") else "mb"
-            polyak = name.endswith("polyak")
-            for frac in fractions:
-                variants.append(VariantSpec(kind, frac, polyak=polyak))
+            variants += [VariantSpec(name, frac) for frac in fractions]
     return tuple(dict.fromkeys(variants))
 
 

@@ -243,26 +243,27 @@ def _fit_block(block: np.ndarray) -> tuple:
     return mean, (cov + cov.T) / 2.0
 
 
+#: Partitions :func:`random_partition_init` draws before it gives up.
+_PARTITION_DRAWS = 100
+
+
 def random_partition_init(
-    data: np.ndarray,
-    g: int,
-    rng: np.random.Generator,
-    max_retries: int = 100,
-    return_labels: bool = False,
+    data: np.ndarray, g: int, rng: np.random.Generator, return_labels: bool = False
 ):
     """Mixture start from a uniformly random partition of the data.
 
     Each observation gets an independent uniform label; block weights, means,
     and full covariances become the initial parameters.  Draws a fresh
-    partition (up to ``max_retries``) whenever some block has fewer than d+1
-    points or a singular covariance.  With ``return_labels`` the accepted
-    partition is returned too, so baselines can start from the same split.
+    partition (up to ``_PARTITION_DRAWS`` in all) whenever some block has
+    fewer than d+1 points or a singular covariance.  With ``return_labels``
+    the accepted partition is returned too, so baselines can start from the
+    same split.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
     if n < g * (d + 2):
         raise InvalidInputError(f"need at least g*(d+2)={g * (d + 2)} observations, got {n}")
-    for _ in range(max_retries):
+    for _ in range(_PARTITION_DRAWS):
         labels = rng.integers(0, g, size=n)
         counts = np.bincount(labels, minlength=g)
         if np.any(counts < d + 1):
@@ -279,34 +280,25 @@ def random_partition_init(
         if comps is not None:
             params = MixtureParams(counts / n, tuple(comps))
             return (params, labels) if return_labels else params
-    raise InitializationError(f"no valid random partition after {max_retries} attempts")
+    raise InitializationError(f"no valid random partition after {_PARTITION_DRAWS} attempts")
 
 
 def kmeans(
-    data: np.ndarray,
-    g: int,
-    epochs: int,
-    init_labels: np.ndarray | None = None,
-    rng: np.random.Generator | None = None,
+    data: np.ndarray, g: int, epochs: int, init_labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations with farthest-point reseeding of empty clusters.
 
-    Runs at most ``epochs`` assignment/update sweeps, stopping early at a
-    fixed point.  The within-cluster sum of squares is asserted nonincreasing
-    after every sweep.
+    Starts from the partition ``init_labels`` and runs at most ``epochs``
+    assignment/update sweeps, stopping early at a fixed point.  The
+    within-cluster sum of squares is asserted nonincreasing after every sweep.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
     if g > n:
         raise InvalidInputError(f"cannot place {g} clusters on {n} points")
-    if init_labels is not None:
-        labels = np.asarray(init_labels).copy()
-        if labels.shape[0] != n:
-            raise InvalidInputError("initial labels do not match the data")
-    elif rng is not None:
-        labels = rng.integers(0, g, size=n)
-    else:
-        raise InvalidInputError("supply init_labels or a generator")
+    labels = np.asarray(init_labels).copy()
+    if labels.shape[0] != n:
+        raise InvalidInputError("initial labels do not match the data")
 
     centers = np.zeros((g, d))
     counts = np.bincount(labels, minlength=g)

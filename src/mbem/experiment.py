@@ -63,30 +63,36 @@ def derive_seed(master: int, *parts: Union[str, int]) -> int:
 # experiment description
 # ---------------------------------------------------------------------------
 
+#: Variant names.  ``em`` is batch EM and ``kmeans`` the Lloyd baseline;
+#: the ``mb`` names are mini-batch EM, truncated when the name holds
+#: ``trunc`` and reporting the Polyak average when it ends in ``-polyak``.
+VARIANTS = ("em", "mb", "mb-polyak", "mb-trunc", "mb-trunc-polyak", "kmeans")
+
+
 @dataclass(frozen=True)
 class VariantSpec:
-    """One grid cell: algorithm kind, batch fraction, averaging flag."""
+    """One grid cell: a name from :data:`VARIANTS` and, for the ``mb``
+    names only, the batch fraction of n in (0, 1]."""
 
-    algorithm: str  # "em" | "mb" | "mb-trunc" | "kmeans"
+    name: str
     fraction: float | None = None
-    polyak: bool = False
 
     def __post_init__(self):
-        if self.algorithm not in ("em", "mb", "mb-trunc", "kmeans"):
-            raise InvalidInputError(f"unknown variant algorithm {self.algorithm!r}")
-        if self.algorithm in ("mb", "mb-trunc") and not self.fraction:
-            raise InvalidInputError("mini-batch variants need a batch fraction")
+        if self.name not in VARIANTS:
+            raise InvalidInputError(f"unknown variant {self.name!r}")
+        if self.name in ("em", "kmeans"):
+            if self.fraction is not None:
+                raise InvalidInputError(f"variant {self.name!r} takes no batch fraction")
+        elif self.fraction is None or not 0.0 < self.fraction <= 1.0:
+            raise InvalidInputError(
+                f"variant {self.name!r} needs a batch fraction in (0, 1], got {self.fraction!r}"
+            )
 
     @property
     def vid(self) -> str:
-        if self.algorithm in ("em", "kmeans"):
-            return self.algorithm
-        tag = f"mb-{self.fraction:g}"
-        if self.algorithm == "mb-trunc":
-            tag += "-trunc"
-        if self.polyak:
-            tag += "-polyak"
-        return tag
+        if self.fraction is None:
+            return self.name
+        return f"mb-{self.fraction:g}{self.name[2:]}"
 
 
 @dataclass(frozen=True)
@@ -129,6 +135,8 @@ class ExperimentSpec:
     workers: int = 1
 
     def __post_init__(self):
+        if self.g < 1:
+            raise InvalidInputError(f"need at least one component, got g={self.g}")
         if self.repetitions < 1:
             raise InvalidInputError("repetitions must be >= 1")
         if not self.variants:
@@ -231,13 +239,14 @@ def _evaluate(theta, data, labels, theta_true, runtime: float) -> MetricReport:
 
 def _run_task(args) -> RunRow:
     """One grid cell from ``(variant, rep, init_theta, init_labels, config)``;
-    k-means takes its epoch budget from ``config``."""
+    ``config.polyak`` picks the reported parameters, and k-means takes its
+    epoch budget from ``config``."""
     variant, rep, init_theta, init_labels, config = args
     data, labels, theta_true = _CTX
     n = data.shape[0]
     wall0, cpu0 = time.perf_counter(), time.process_time()
 
-    if variant.algorithm == "kmeans":
+    if variant.name == "kmeans":
         fitted, _ = kmeans(data, init_theta.g, config.epochs, init_labels=init_labels)
         wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
         ari = adjusted_rand_index(fitted, labels) if labels is not None else float("nan")
@@ -249,7 +258,7 @@ def _run_task(args) -> RunRow:
 
     try:
         record = run(data, config, init_theta)
-        theta = record.polyak_theta if variant.polyak else record.final_theta
+        theta = record.polyak_theta if config.polyak else record.final_theta
         report = _evaluate(theta, data, labels, theta_true, record.wall_time)
         return RunRow(
             variant.vid, rep, config.seed, "ok",
@@ -272,10 +281,10 @@ def run_experiment(spec: ExperimentSpec, theta_true: MixtureParams | None = None
 
     Each repetition's randomized initialization is consumed by every variant;
     per-run failures are recorded in the row rather than aborting the grid.
-    ``theta_true`` is passed on to :func:`resolve_source`.  A variant's
-    :class:`RunConfig` carries its batch size (``mb`` and ``mb-trunc``; ``em``
-    is batch EM) and its region (``mb-trunc`` only), which choose the EM
-    variant.
+    ``theta_true`` is passed on to :func:`resolve_source`.  A variant's name
+    and fraction give its :class:`RunConfig`: a batch size when it has a
+    fraction, the region when the name holds ``trunc``, and averaging when it
+    ends in ``-polyak``.
     """
     data, labels, theta_true = resolve_source(spec, theta_true)
     n = data.shape[0]
@@ -285,14 +294,14 @@ def run_experiment(spec: ExperimentSpec, theta_true: MixtureParams | None = None
         inits.append(random_partition_init(data, spec.g, rng, return_labels=True))
     tasks = []
     for variant in spec.variants:
-        minibatch = variant.algorithm in ("mb", "mb-trunc")
+        frac = variant.fraction
         for rep in range(spec.repetitions):
             config = RunConfig(
                 epochs=spec.epochs,
-                batch_size=min(n, max(1, int(round(variant.fraction * n)))) if minibatch else None,
+                batch_size=None if frac is None else max(1, int(round(frac * n))),
                 learning_rate=spec.learning_rate,
-                truncation=spec.truncation if variant.algorithm == "mb-trunc" else None,
-                polyak=variant.polyak,
+                truncation=spec.truncation if "trunc" in variant.name else None,
+                polyak=variant.name.endswith("-polyak"),
                 seed=derive_seed(spec.master_seed, variant.vid, rep),
             )
             tasks.append((variant, rep, *inits[rep], config))

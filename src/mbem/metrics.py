@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -112,15 +111,12 @@ def _component_blocks(theta: MixtureParams) -> np.ndarray:
     return np.stack(rows)
 
 
-def squared_error(
-    theta_hat: MixtureParams, theta_true: MixtureParams, root: bool = False
-) -> float:
+def squared_error(theta_hat: MixtureParams, theta_true: MixtureParams) -> float:
     """Permutation-aligned squared distance between two parameter vectors.
 
     Flattens weights, means, and full covariance entries (or rates) per
     component and minimizes the squared Euclidean distance over component
-    relabelings: exhaustively for g <= 8, by optimal assignment above that.
-    Set ``root=True`` for the Euclidean distance instead of its square.
+    relabelings by optimal assignment.
     """
     if theta_hat.g != theta_true.g or theta_hat.dim != theta_true.dim:
         raise InvalidInputError("parameter vectors differ in shape")
@@ -128,16 +124,9 @@ def squared_error(
         raise InvalidInputError("parameter vectors belong to different families")
     blocks_hat = _component_blocks(theta_hat)
     blocks_true = _component_blocks(theta_true)
-    g = theta_hat.g
     # cost[z, w] = squared distance between estimated component z and true w.
-    # Totals use exact compensated sums so relabeling either argument can
-    # never change the minimum by a rounding ulp.
+    # The total is an exact compensated sum, so relabeling either argument
+    # can never change it by a rounding ulp.
     cost = ((blocks_hat[:, None, :] - blocks_true[None, :, :]) ** 2).sum(axis=2)
-    if g <= 8:
-        best = min(
-            math.fsum(cost[z, perm[z]] for z in range(g)) for perm in permutations(range(g))
-        )
-    else:
-        rows, cols = linear_sum_assignment(cost)
-        best = math.fsum(cost[rows, cols].tolist())
-    return math.sqrt(best) if root else float(best)
+    rows, cols = linear_sum_assignment(cost)
+    return math.fsum(cost[rows, cols].tolist())

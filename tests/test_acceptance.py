@@ -83,13 +83,13 @@ def _params_equal(a, b):
 GRID_VARIANTS = (
     VariantSpec("em"),
     VariantSpec("mb", 0.1),
-    VariantSpec("mb", 0.1, polyak=True),
+    VariantSpec("mb-polyak", 0.1),
     VariantSpec("mb", 0.2),
-    VariantSpec("mb", 0.2, polyak=True),
+    VariantSpec("mb-polyak", 0.2),
     VariantSpec("mb-trunc", 0.1),
-    VariantSpec("mb-trunc", 0.1, polyak=True),
+    VariantSpec("mb-trunc-polyak", 0.1),
     VariantSpec("mb-trunc", 0.2),
-    VariantSpec("mb-trunc", 0.2, polyak=True),
+    VariantSpec("mb-trunc-polyak", 0.2),
 )
 
 
@@ -477,7 +477,7 @@ def test_criterion_10_determinism(tmp_path):
             variants=(
                 VariantSpec("em"),
                 VariantSpec("mb", 0.1),
-                VariantSpec("mb-trunc", 0.1, polyak=True),
+                VariantSpec("mb-trunc-polyak", 0.1),
                 VariantSpec("kmeans"),
             ),
             repetitions=3,

@@ -283,7 +283,7 @@ def test_partition_init_retries_exhausted():
     # identical rows: every partition gives a singular covariance
     data = np.ones((40, 2))
     with pytest.raises(InitializationError):
-        random_partition_init(data, 2, np.random.default_rng(0), max_retries=5)
+        random_partition_init(data, 2, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -296,14 +296,16 @@ def test_kmeans_separated_clouds(rng):
         (Gaussian([0.0, 0.0], np.eye(2)), Gaussian([30.0, 30.0], np.eye(2))),  # 30 sigma apart
     )
     data, labels = sample(theta, 500, rng)
-    fitted, centers = kmeans(data, 2, epochs=20, rng=np.random.default_rng(2))
+    start = np.random.default_rng(2).integers(0, 2, 500)
+    fitted, centers = kmeans(data, 2, epochs=20, init_labels=start)
     assert adjusted_rand_index(fitted, labels) == 1.0
     assert centers.shape == (2, 2)
 
 
 def test_kmeans_each_point_its_own_center(rng):
     data = rng.normal(0, 5, (6, 2))
-    labels, centers = kmeans(data, 6, epochs=30, rng=np.random.default_rng(1))
+    start = np.random.default_rng(1).integers(0, 6, 6)
+    labels, centers = kmeans(data, 6, epochs=30, init_labels=start)
     wcss = ((data - centers[labels]) ** 2).sum()
     assert wcss == pytest.approx(0.0, abs=1e-20)
 
@@ -324,11 +326,11 @@ def test_kmeans_honors_init_labels_and_is_deterministic(rng):
     assert np.array_equal(a, b) and np.array_equal(ca, cb)
 
 
-def test_kmeans_validation(rng):
+def test_kmeans_validation():
     with pytest.raises(InvalidInputError):
-        kmeans(np.zeros((2, 1)), 5, epochs=1, rng=rng)
+        kmeans(np.zeros((2, 1)), 5, epochs=1, init_labels=np.zeros(2, dtype=int))
     with pytest.raises(InvalidInputError):
-        kmeans(np.zeros((5, 1)), 2, epochs=1)
+        kmeans(np.zeros((5, 1)), 2, epochs=1, init_labels=np.zeros(4, dtype=int))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from mbem.experiment import (
     write_results_csv,
     write_summary,
 )
-from mbem.errors import DegeneratePointError
+from mbem.errors import DegeneratePointError, InvalidInputError
 from mbem.families import Exponential, Gaussian, MixtureParams, params_to_dict
 from mbem.metrics import adjusted_rand_index, dataset_loglik, map_labels
 
@@ -74,9 +74,30 @@ def test_variant_ids():
     assert VariantSpec("em").vid == "em"
     assert VariantSpec("kmeans").vid == "kmeans"
     assert VariantSpec("mb", 0.1).vid == "mb-0.1"
-    assert VariantSpec("mb", 0.1, polyak=True).vid == "mb-0.1-polyak"
+    assert VariantSpec("mb-polyak", 0.1).vid == "mb-0.1-polyak"
     assert VariantSpec("mb-trunc", 0.2).vid == "mb-0.2-trunc"
-    assert VariantSpec("mb-trunc", 0.2, polyak=True).vid == "mb-0.2-trunc-polyak"
+    assert VariantSpec("mb-trunc-polyak", 0.2).vid == "mb-0.2-trunc-polyak"
+
+
+def test_variant_spec_rejects_cells_it_cannot_run():
+    # a fraction on a full-data variant, a missing or out-of-range fraction
+    # on a mini-batch one, and a name outside VARIANTS
+    for args in (("em", 0.1), ("kmeans", 0.5), ("mb", None), ("mb", -0.5), ("mb", 0.0),
+                 ("mb", 1.5), ("em-polyak",)):
+        with pytest.raises(InvalidInputError):
+            VariantSpec(*args)
+    with pytest.raises(TypeError):
+        VariantSpec("em", polyak=True)  # averaging is spelled in the name
+    assert VariantSpec("mb", 1.0).vid == "mb-1"
+
+
+def test_experiment_spec_rejects_no_components():
+    for g in (0, -1):
+        with pytest.raises(InvalidInputError):
+            ExperimentSpec(
+                source=TemplateSource(str(IRIS_CSV), 600), g=g,
+                variants=(VariantSpec("em"),), repetitions=1, master_seed=0,
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -99,14 +120,14 @@ def test_nine_variant_grid_shape():
     for kind in ("mb", "mb-trunc"):
         for frac in (0.1, 0.2):
             variants.append(VariantSpec(kind, frac))
-            variants.append(VariantSpec(kind, frac, polyak=True))
+            variants.append(VariantSpec(kind + "-polyak", frac))
     spec = _small_spec(reps=2, variants=tuple(variants))
     table = run_experiment(spec)
     assert len(table.rows) == 9 * 2
 
 
 @pytest.mark.parametrize(
-    "variant", [VariantSpec("em"), VariantSpec("mb", 0.25, polyak=True)], ids=lambda v: v.vid
+    "variant", [VariantSpec("em"), VariantSpec("mb-polyak", 0.25)], ids=lambda v: v.vid
 )
 def test_single_em_row_matches_manual_run(variant):
     spec = _small_spec(reps=1, variants=(variant,), seed=5)
@@ -117,7 +138,7 @@ def test_single_em_row_matches_manual_run(variant):
     # match the public metrics bit for bit
     data, labels, theta_true = resolve_source(spec)
     init = random_partition_init(data, 3, np.random.default_rng(derive_seed(5, "init", 0)))
-    if variant.algorithm == "em":
+    if variant.name == "em":
         config = RunConfig(epochs=3, seed=derive_seed(5, "em", 0))
     else:
         config = RunConfig(
@@ -125,7 +146,7 @@ def test_single_em_row_matches_manual_run(variant):
             seed=derive_seed(5, variant.vid, 0),
         )
     rec = run(data, config, init)
-    theta = rec.polyak_theta if variant.polyak else rec.final_theta
+    theta = rec.polyak_theta if config.polyak else rec.final_theta
     assert row.status == "ok"
     assert row.loglik == dataset_loglik(data, theta)
     assert row.loglik_per_obs == row.loglik / len(data)
@@ -224,7 +245,7 @@ def test_results_csv_deterministic_across_reruns_and_workers(tmp_path):
     texts = []
     for attempt, workers in ((0, 1), (1, 1), (2, 2)):
         spec = _small_spec(reps=3, workers=workers, variants=(
-            VariantSpec("em"), VariantSpec("mb", 0.25), VariantSpec("mb-trunc", 0.25, polyak=True),
+            VariantSpec("em"), VariantSpec("mb", 0.25), VariantSpec("mb-trunc-polyak", 0.25),
             VariantSpec("kmeans"),
         ))
         table = run_experiment(spec)
@@ -306,8 +327,6 @@ def test_boxplot_outlier_detection():
 
 
 def test_boxplot_unknown_metric():
-    from mbem.errors import InvalidInputError
-
     with pytest.raises(InvalidInputError):
         emit_boxplot_data(_table_from_metric({"em": [1.0]}), "nonsense")
 
@@ -405,6 +424,18 @@ def test_cli_builds_the_template_once(tmp_path, monkeypatch, command):
     assert reads == [str(IRIS_CSV)]
     meta = json.loads((out / "meta.json").read_text())
     assert meta["g"] == 3 and meta["template_theta"]["family"] == "gaussian"
+
+
+def test_cli_simulate_defaults_n(tmp_path):
+    # with no --n and no config file, the sample size comes from the defaults
+    out = tmp_path / "out"
+    rc = cli_main([
+        "simulate", "--template", str(IRIS_CSV), "--epochs", "1", "--variant", "kmeans",
+        "--out-dir", str(out),
+    ])
+    assert rc == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["source"]["n"] == 100_000
 
 
 def test_cli_simulate_requires_out_dir():
