@@ -5,17 +5,23 @@ Subcommands:
 * ``simulate`` — fit a template mixture to a labeled CSV (or load a theta
   JSON file), synthesize data, and run the variant grid.
 * ``mnist`` — ingest IDX image/label files, filter constant pixels, project
-  with PCA, and run the grid plus a k-means baseline.
-* ``bench`` — one single run, metrics printed as JSON.
+  with PCA, and run the grid; by default batch EM, truncated mini-batch EM
+  with and without averaging, and a k-means baseline, with g = 10.
+* ``bench`` — one grid cell (by default ``mb`` at batch fraction 0.1), its
+  result row printed as JSON; any other cell count is rejected.
 
-A variant (``--variant``, repeatable) is one of ``all``, ``em``, ``mb``,
-``mb-polyak``, ``mb-trunc``, ``mb-trunc-polyak`` and ``kmeans``; each ``mb``
-name runs once per batch fraction (``--batch-frac``, repeatable, in (0, 1]).
-Every option resolves the same way from ``_DEFAULTS``: the flag if given,
-else the JSON config file (``--config``), else the default.
+The three build their grid on one path and differ only in their data source
+and in ``_COMMAND_DEFAULTS``.  A variant (``--variant``, repeatable) is one
+of ``all``, ``em``, ``mb``, ``mb-polyak``, ``mb-trunc``, ``mb-trunc-polyak``
+and ``kmeans``; ``all`` is the nine-variant grid of ``em`` and the four
+``mb`` names, and each ``mb`` name runs once per batch fraction
+(``--batch-frac``, repeatable, in (0, 1]).  Every option resolves the same
+way: the flag if given, else the JSON config file (``--config``), else the
+subcommand's default, else ``_DEFAULTS``.  A value the grid rejects is a
+usage error with exit status 2.
 
-Outputs: results.csv, summary.csv, summary.json, boxplot_<metric>.csv, and
-meta.json in the output directory.
+Outputs: results.csv, summary.csv, summary.json, boxplot_<metric>.csv for
+loglik, loglik_per_obs, se and ari, and meta.json in the output directory.
 """
 
 from __future__ import annotations
@@ -23,9 +29,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .engine import DEFAULT_LEARNING_RATE, LearningRate, RunConfig, TruncationRegion
+from .errors import InvalidInputError
 from .experiment import (
     ExperimentSpec,
     IdxSource,
@@ -34,7 +42,6 @@ from .experiment import (
     VARIANTS,
     VariantSpec,
     run_experiment,
-    template_theta,
     write_boxplot_csv,
     write_meta,
     write_results_csv,
@@ -64,7 +71,12 @@ _DEFAULTS = {
     "out_dir": None,
     "images": None,
     "labels": None,
-    "per_obs_loglik": None,
+}
+
+#: Where a subcommand's defaults differ from ``_DEFAULTS``.
+_COMMAND_DEFAULTS = {
+    "mnist": {"variant": ["em", "mb-trunc", "mb-trunc-polyak", "kmeans"], "g": 10},
+    "bench": {"variant": ["mb"], "batch_frac": [0.1]},
 }
 
 
@@ -85,8 +97,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c2", type=float, help="truncation mean constant")
     p.add_argument("--c3", type=float, help="truncation eigenvalue constant")
     p.add_argument("--workers", type=int, help="parallel workers over repetitions")
-    p.add_argument("--per-obs-loglik", action="store_true", default=None,
-                   help="also emit the per-observation log-likelihood boxplot")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -121,7 +131,7 @@ def _resolve_options(args: argparse.Namespace) -> dict:
         with open(args.config) as f:
             config = json.load(f)
     opts = {}
-    for key, default in _DEFAULTS.items():
+    for key, default in {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}.items():
         value = getattr(args, key, None)
         opts[key] = config.get(key, default) if value is None else value
     return opts
@@ -142,91 +152,55 @@ def _expand_variants(names, fractions) -> tuple:
     return tuple(dict.fromkeys(variants))
 
 
-def _synthetic_source(opts):
-    if opts["template"]:
-        return TemplateSource(str(opts["template"]), int(opts["n"]))
-    if opts["theta"]:
-        return ThetaSource(str(opts["theta"]), int(opts["n"]))
-    raise SystemExit("one of --template or --theta is required")
-
-
-def _default_g(theta_true, opts) -> int:
-    if opts["g"] is not None:
-        return int(opts["g"])
-    return 10 if theta_true is None else theta_true.g
-
-
-def _build_spec(source, opts, variants, theta_true) -> ExperimentSpec:
-    return ExperimentSpec(
-        source=source,
-        g=_default_g(theta_true, opts),
-        variants=variants,
-        repetitions=int(opts["reps"]),
-        master_seed=int(opts["seed"]),
-        epochs=int(opts["epochs"]),
-        learning_rate=LearningRate(float(opts["gamma0"]), float(opts["alpha"])),
-        truncation=TruncationRegion(float(opts["c1"]), float(opts["c2"]), float(opts["c3"])),
-        workers=int(opts["workers"]),
-    )
-
-
-def _write_outputs(spec: ExperimentSpec, table, out_dir: Path, per_obs: bool, theta_true) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_results_csv(table, out_dir / "results.csv")
-    write_summary(table, out_dir / "summary.csv", out_dir / "summary.json")
-    metrics = ["loglik", "se", "ari"]
-    if per_obs:
-        metrics.insert(1, "loglik_per_obs")
-    for metric in metrics:
-        write_boxplot_csv(table, metric, out_dir / f"boxplot_{metric}.csv")
-    write_meta(spec, out_dir / "meta.json", theta_true)
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     opts = _resolve_options(args)
-
-    if args.command == "simulate":
-        source = _synthetic_source(opts)
-        variants = _expand_variants(opts["variant"], opts["batch_frac"])
-    elif args.command == "mnist":
-        if not opts["images"]:
-            raise SystemExit("--images is required (flag or config)")
-        labels = opts["labels"] or []
-        if labels and len(labels) != len(opts["images"]):
-            raise SystemExit("--labels must pair with --images one to one")
-        source = IdxSource(
-            images=tuple(str(p) for p in opts["images"]),
-            labels=tuple(str(p) for p in labels),
-            d_pc=int(opts["d_pc"]),
+    bench = args.command == "bench"
+    if not (bench or opts["out_dir"]):
+        parser.error("--out-dir is required")
+    try:
+        if args.command == "mnist":
+            source = IdxSource(
+                images=tuple(str(p) for p in opts["images"] or ()),
+                labels=tuple(str(p) for p in opts["labels"] or ()),
+                d_pc=int(opts["d_pc"]),
+            )
+        elif opts["template"]:
+            source = TemplateSource(str(opts["template"]), int(opts["n"]))
+        elif opts["theta"]:
+            source = ThetaSource(str(opts["theta"]), int(opts["n"]))
+        else:
+            parser.error("one of --template or --theta is required")
+        spec = ExperimentSpec(
+            source=source,
+            g=source.theta.g if opts["g"] is None else int(opts["g"]),
+            variants=_expand_variants(opts["variant"], opts["batch_frac"]),
+            repetitions=int(opts["reps"]),
+            master_seed=int(opts["seed"]),
+            epochs=int(opts["epochs"]),
+            learning_rate=LearningRate(float(opts["gamma0"]), float(opts["alpha"])),
+            truncation=TruncationRegion(float(opts["c1"]), float(opts["c2"]), float(opts["c3"])),
+            workers=int(opts["workers"]),
         )
-        names = opts["variant"]
-        if names == ["all"]:
-            names = ["em", "mb-trunc", "mb-trunc-polyak", "kmeans"]
-        variants = _expand_variants(names, opts["batch_frac"])
-    else:  # bench
-        source = _synthetic_source(opts)
-        names = [n for n in opts["variant"] if n != "all"] or ["mb"]
-        variants = _expand_variants(names[:1], opts["batch_frac"][:1])[:1]
-
-    # Built once: the default g, the sampled data and meta.json all use it.
-    theta_true = template_theta(source)
-    spec = _build_spec(source, opts, variants, theta_true)
-
-    if args.command == "bench":
-        table = run_experiment(spec, theta_true)
-        row = table.rows[0]
-        print(json.dumps({col: getattr(row, col) for col in row.__dataclass_fields__}, indent=2))
-        if opts["out_dir"]:
-            _write_outputs(spec, table, Path(opts["out_dir"]), bool(opts["per_obs_loglik"]), theta_true)
-        return 0
-
-    if not opts["out_dir"]:
-        raise SystemExit("--out-dir is required")
-    table = run_experiment(spec, theta_true)
-    _write_outputs(spec, table, Path(opts["out_dir"]), bool(opts["per_obs_loglik"]), theta_true)
-    ok = sum(1 for r in table.rows if r.status == "ok")
-    print(f"{len(table.rows)} runs ({ok} ok) -> {opts['out_dir']}")
+        if bench and len(spec.variants) * spec.repetitions != 1:
+            parser.error("bench runs one cell: one variant, one batch fraction and one repetition")
+        rows = run_experiment(spec)
+    except InvalidInputError as exc:
+        parser.error(str(exc))
+    if opts["out_dir"]:
+        out_dir = Path(opts["out_dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_results_csv(rows, out_dir / "results.csv")
+        write_summary(rows, out_dir / "summary.csv", out_dir / "summary.json")
+        for metric in ("loglik", "loglik_per_obs", "se", "ari"):
+            write_boxplot_csv(rows, metric, out_dir / f"boxplot_{metric}.csv")
+        write_meta(spec, out_dir / "meta.json")
+    if bench:
+        print(json.dumps(asdict(rows[0]), indent=2))
+    else:
+        ok = sum(1 for r in rows if r.status == "ok")
+        print(f"{len(rows)} runs ({ok} ok) -> {opts['out_dir']}")
     return 0
 
 

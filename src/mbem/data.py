@@ -51,32 +51,11 @@ def _open_idx(src) -> io.BufferedIOBase:
             return gzip.open(src, "rb")
         raw.seek(0)
         return raw
-    # caller-supplied stream: sniff without assuming seekability
-    head = src.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.GzipFile(fileobj=io.BytesIO(head + src.read()))
-    return io.BufferedReader(_Prefixed(head, src))
-
-
-class _Prefixed(io.RawIOBase):
-    """Raw stream that replays sniffed bytes before the underlying stream."""
-
-    def __init__(self, head: bytes, stream):
-        self._head = head
-        self._stream = stream
-
-    def readable(self):
-        return True
-
-    def readinto(self, b):
-        if self._head:
-            k = min(len(b), len(self._head))
-            b[:k] = self._head[:k]
-            self._head = self._head[k:]
-            return k
-        chunk = self._stream.read(len(b))
-        b[: len(chunk)] = chunk
-        return len(chunk)
+    # a caller-supplied stream need not seek: read it whole
+    payload = src.read()
+    if payload[:2] == b"\x1f\x8b":
+        payload = gzip.decompress(payload)
+    return io.BytesIO(payload)
 
 
 def _read_exact(f, count: int, offset: int) -> bytes:

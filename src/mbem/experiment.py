@@ -13,7 +13,8 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -97,27 +98,65 @@ class VariantSpec:
 
 @dataclass(frozen=True)
 class TemplateSource:
-    """Synthesize data from a mixture fitted to a labeled CSV (one Gaussian per class)."""
+    """Synthesize ``n`` rows from a mixture fitted to a labeled CSV, one
+    Gaussian per class; the fit is made once, when :attr:`theta` is first read."""
 
     csv_path: str
     n: int
 
+    @cached_property
+    def theta(self) -> MixtureParams:
+        return template_from_labeled_data(*read_labeled_csv(self.csv_path))
+
+    def meta(self) -> dict:
+        return {"kind": "template-csv", **asdict(self)}
+
 
 @dataclass(frozen=True)
 class ThetaSource:
-    """Synthesize data from an explicit parameter file (JSON)."""
+    """Synthesize ``n`` rows from the mixture in a parameter file (JSON), read
+    once, when :attr:`theta` is first read."""
 
     theta_path: str
     n: int
 
+    @cached_property
+    def theta(self) -> MixtureParams:
+        with open(self.theta_path) as f:
+            return params_from_dict(json.load(f))
+
+    def meta(self) -> dict:
+        return {"kind": "theta-json", **asdict(self)}
+
 
 @dataclass(frozen=True)
 class IdxSource:
-    """IDX image files -> constant-pixel filter -> PCA projection."""
+    """IDX image files -> constant-pixel filter -> PCA projection.  ``labels``
+    is empty or pairs with ``images`` one to one; no mixture generated the
+    rows, so :attr:`theta` is None."""
 
     images: tuple
     labels: tuple
     d_pc: int
+
+    theta = None
+
+    def __post_init__(self):
+        if not self.images:
+            raise InvalidInputError("need at least one IDX image file")
+        if self.labels and len(self.labels) != len(self.images):
+            raise InvalidInputError("IDX label files must pair with the image files one to one")
+
+    def meta(self) -> dict:
+        return {"kind": "idx", **asdict(self)}
+
+    def load(self):
+        """The projected rows and the labels (None without label files)."""
+        labels = self.labels or (None,) * len(self.images)
+        sets = [read_idx(*files) for files in zip(self.images, labels)]
+        dense, _ = drop_constant_pixels(np.vstack([s.pixels for s in sets]))
+        labels = np.concatenate([s.labels for s in sets]) if self.labels else None
+        return project(fit_pca(dense, self.d_pc), dense), labels
 
 
 @dataclass(frozen=True)
@@ -143,39 +182,14 @@ class ExperimentSpec:
             raise InvalidInputError("variant list is empty")
 
 
-def template_theta(source) -> MixtureParams | None:
-    """Generative parameters of a synthetic source; None for file corpora."""
-    if isinstance(source, TemplateSource):
-        features, classes = read_labeled_csv(source.csv_path)
-        return template_from_labeled_data(features, classes)
-    if isinstance(source, ThetaSource):
-        with open(source.theta_path) as f:
-            return params_from_dict(json.load(f))
-    return None
-
-
-def resolve_source(spec: ExperimentSpec, theta_true: MixtureParams | None = None):
-    """Materialize (data, true_labels, true_theta) for a spec's data source.
-
-    A synthetic source samples from ``theta_true`` when given (the caller's
-    :func:`template_theta` of the same source), else builds it.
-    """
+def resolve_source(spec: ExperimentSpec):
+    """Materialize (data, true_labels, true_theta) for a spec's data source:
+    a source with a mixture is sampled from it with the grid's data seed."""
     src = spec.source
-    if isinstance(src, (TemplateSource, ThetaSource)):
-        theta = template_theta(src) if theta_true is None else theta_true
-        rng = np.random.default_rng(derive_seed(spec.master_seed, "data"))
-        data, labels = sample(theta, src.n, rng)
-        return data, labels, theta
-    images = read_idx(src.images[0], src.labels[0] if src.labels else None)
-    pixels, labels = images.pixels, images.labels
-    for k in range(1, len(src.images)):
-        extra = read_idx(src.images[k], src.labels[k] if len(src.labels) > k else None)
-        pixels = np.vstack([pixels, extra.pixels])
-        if labels is not None and extra.labels is not None:
-            labels = np.concatenate([labels, extra.labels])
-    dense, _ = drop_constant_pixels(pixels)
-    model = fit_pca(dense, src.d_pc)
-    return project(model, dense), labels, None
+    if src.theta is None:
+        return (*src.load(), None)
+    rng = np.random.default_rng(derive_seed(spec.master_seed, "data"))
+    return (*sample(src.theta, src.n, rng), src.theta)
 
 
 # ---------------------------------------------------------------------------
@@ -207,11 +221,6 @@ TIMING_COLUMNS = ("wall_time_s", "cpu_time_s")
 METRIC_COLUMNS = ("loglik", "loglik_per_obs", "se", "ari", "truncation_events", "wall_time_s")
 
 RESULTS_SCHEMA_VERSION = 1
-
-
-@dataclass
-class ResultsTable:
-    rows: list
 
 
 # Heavy arrays live in a per-process context so worker pools pickle them once.
@@ -276,17 +285,17 @@ def _run_task(args) -> RunRow:
         )
 
 
-def run_experiment(spec: ExperimentSpec, theta_true: MixtureParams | None = None) -> ResultsTable:
-    """Execute the full grid and return one row per (variant, repetition).
+def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
+    """Execute the full grid and return one row per (variant, repetition),
+    variant-major.
 
     Each repetition's randomized initialization is consumed by every variant;
     per-run failures are recorded in the row rather than aborting the grid.
-    ``theta_true`` is passed on to :func:`resolve_source`.  A variant's name
-    and fraction give its :class:`RunConfig`: a batch size when it has a
-    fraction, the region when the name holds ``trunc``, and averaging when it
-    ends in ``-polyak``.
+    A variant's name and fraction give its :class:`RunConfig`: a batch size
+    when it has a fraction, the region when the name holds ``trunc``, and
+    averaging when it ends in ``-polyak``.
     """
-    data, labels, theta_true = resolve_source(spec, theta_true)
+    data, labels, theta_true = resolve_source(spec)
     n = data.shape[0]
     inits = []
     for rep in range(spec.repetitions):
@@ -315,33 +324,33 @@ def run_experiment(spec: ExperimentSpec, theta_true: MixtureParams | None = None
             initargs=(data, labels, theta_true),
         ) as pool:
             rows = list(pool.map(_run_task, tasks))
-    return ResultsTable(rows=rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
 # aggregation
 # ---------------------------------------------------------------------------
 
-def _ok_values(table: ResultsTable, metrics: tuple):
+def _ok_values(rows: list, metrics: tuple):
     """Yield ``(variant, metric, values)``: the finite values of each metric
     over a variant's ok rows, variants in first-seen order."""
-    for variant in dict.fromkeys(row.variant for row in table.rows):
-        rows = [r for r in table.rows if r.variant == variant and r.status == "ok"]
+    for variant in dict.fromkeys(row.variant for row in rows):
+        ok = [r for r in rows if r.variant == variant and r.status == "ok"]
         for metric in metrics:
-            values = np.array([getattr(r, metric) for r in rows], dtype=float)
+            values = np.array([getattr(r, metric) for r in ok], dtype=float)
             yield variant, metric, values[np.isfinite(values)]
 
 
-def summarize(table: ResultsTable) -> list:
+def summarize(rows: list) -> list:
     """Per-variant mean/median/standard-error rows for every metric column.
 
     The standard error is the sample standard deviation over the square root
     of the run count (0 for a single run).  Failed runs are excluded.
     """
-    if not table.rows:
+    if not rows:
         raise InvalidInputError("empty results table")
     out = []
-    for variant, metric, values in _ok_values(table, METRIC_COLUMNS):
+    for variant, metric, values in _ok_values(rows, METRIC_COLUMNS):
         if values.size == 0:
             mean = median = se = float("nan")
         else:
@@ -365,12 +374,12 @@ def summarize(table: ResultsTable) -> list:
 QUANTILE_RULE = "linear-interpolation quantiles; whiskers at 1.5*IQR (Tukey)"
 
 
-def emit_boxplot_data(table: ResultsTable, metric: str) -> list:
+def emit_boxplot_data(rows: list, metric: str) -> list:
     """Per-variant five-number summaries plus Tukey outliers for one metric."""
     if metric not in METRIC_COLUMNS:
         raise InvalidInputError(f"unknown metric {metric!r}")
     out = []
-    for variant, _, values in _ok_values(table, (metric,)):
+    for variant, _, values in _ok_values(rows, (metric,)):
         if values.size == 0:
             continue
         q1, med, q3 = (float(np.quantile(values, q)) for q in (0.25, 0.5, 0.75))
@@ -402,16 +411,16 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_results_csv(table: ResultsTable, path) -> None:
+def write_results_csv(rows: list, path) -> None:
     lines = [",".join(RESULTS_COLUMNS)]
-    for row in table.rows:
+    for row in rows:
         lines.append(",".join(_fmt(getattr(row, col)) for col in RESULTS_COLUMNS))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
-def write_summary(table: ResultsTable, csv_path, json_path) -> None:
-    records = summarize(table)
+def write_summary(rows: list, csv_path, json_path) -> None:
+    records = summarize(rows)
     cols = ("variant", "metric", "count", "mean", "median", "se")
     lines = [",".join(cols)]
     for rec in records:
@@ -423,8 +432,8 @@ def write_summary(table: ResultsTable, csv_path, json_path) -> None:
         f.write("\n")
 
 
-def write_boxplot_csv(table: ResultsTable, metric: str, path) -> None:
-    records = emit_boxplot_data(table, metric)
+def write_boxplot_csv(rows: list, metric: str, path) -> None:
+    records = emit_boxplot_data(rows, metric)
     lines = [f"# {QUANTILE_RULE}", "variant,min,q1,median,q3,max,outliers"]
     for rec in records:
         outliers = ";".join(repr(v) for v in rec["outliers"])
@@ -439,19 +448,7 @@ def write_boxplot_csv(table: ResultsTable, metric: str, path) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def write_meta(spec: ExperimentSpec, path, theta_true: MixtureParams | None = None) -> None:
-    src = spec.source
-    if isinstance(src, TemplateSource):
-        source = {"kind": "template-csv", "csv_path": str(src.csv_path), "n": src.n}
-    elif isinstance(src, ThetaSource):
-        source = {"kind": "theta-json", "theta_path": str(src.theta_path), "n": src.n}
-    else:
-        source = {
-            "kind": "idx",
-            "images": [str(p) for p in src.images],
-            "labels": [str(p) for p in src.labels],
-            "d_pc": src.d_pc,
-        }
+def write_meta(spec: ExperimentSpec, path) -> None:
     meta = {
         "package_version": __version__,
         "numpy_version": np.__version__,
@@ -466,10 +463,10 @@ def write_meta(spec: ExperimentSpec, path, theta_true: MixtureParams | None = No
         "truncation": [spec.truncation.c1, spec.truncation.c2, spec.truncation.c3],
         "variants": [v.vid for v in spec.variants],
         "workers": spec.workers,
-        "source": source,
+        "source": spec.source.meta(),
     }
-    if theta_true is not None:
-        meta["template_theta"] = params_to_dict(theta_true)
+    if spec.source.theta is not None:
+        meta["template_theta"] = params_to_dict(spec.source.theta)
     with open(path, "w") as f:
         json.dump(meta, f, indent=2)
         f.write("\n")

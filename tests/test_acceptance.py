@@ -114,12 +114,12 @@ def iris_data(iris_spec):
 @pytest.fixture(scope="module")
 def iris_grid(iris_spec):
     t0 = time.perf_counter()
-    table = run_experiment(iris_spec)
-    return table, time.perf_counter() - t0
+    rows = run_experiment(iris_spec)
+    return rows, time.perf_counter() - t0
 
 
-def _median_loglik(table, vid):
-    values = [r.loglik for r in table.rows if r.variant == vid and r.status == "ok"]
+def _median_loglik(rows, vid):
+    values = [r.loglik for r in rows if r.variant == vid and r.status == "ok"]
     assert len(values) == 20
     return float(np.median(values))
 
@@ -212,10 +212,10 @@ def test_criterion_3_parameter_recovery():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_iris_direction(iris_grid):
-    table, elapsed = iris_grid
-    em = _median_loglik(table, "em")
-    mb10 = _median_loglik(table, "mb-0.1")
-    mb20 = _median_loglik(table, "mb-0.2")
+    rows, elapsed = iris_grid
+    em = _median_loglik(rows, "em")
+    mb10 = _median_loglik(rows, "mb-0.1")
+    mb20 = _median_loglik(rows, "mb-0.2")
     ok = mb10 >= em and mb10 >= mb20 and elapsed < 600.0
     _report(4, ok,
             f"median loglik mb-0.1={mb10:.0f} >= em={em:.0f} and >= mb-0.2={mb20:.0f}; "
@@ -280,10 +280,10 @@ def test_criterion_6_polyak(iris_data, iris_grid):
         exact = exact and np.max(np.abs(acc.means() - np.mean([t.means() for t in upto], axis=0))) <= 1e-12
         exact = exact and np.max(np.abs(acc.covariances() - np.mean([t.covariances() for t in upto], axis=0))) <= 1e-12
 
-    table, _ = iris_grid
+    rows, _ = iris_grid
     direction = (
-        _median_loglik(table, "mb-0.1-polyak") <= _median_loglik(table, "mb-0.1")
-        and _median_loglik(table, "mb-0.2-polyak") <= _median_loglik(table, "mb-0.2")
+        _median_loglik(rows, "mb-0.1-polyak") <= _median_loglik(rows, "mb-0.1")
+        and _median_loglik(rows, "mb-0.2-polyak") <= _median_loglik(rows, "mb-0.2")
     )
     _report(6, exact and direction,
             "accumulator matches trace mean to 1e-12 at every epoch boundary; "
@@ -440,10 +440,10 @@ def test_criterion_9_image_pipeline():
         master_seed=505,
         epochs=10,
     )
-    table = run_experiment(spec)
-    mb = {r.rep: r for r in table.rows if r.variant == "mb-0.1-trunc"}
-    km = {r.rep: r for r in table.rows if r.variant == "kmeans"}
-    em = [r.loglik for r in table.rows if r.variant == "em" and r.status == "ok"]
+    rows = run_experiment(spec)
+    mb = {r.rep: r for r in rows if r.variant == "mb-0.1-trunc"}
+    km = {r.rep: r for r in rows if r.variant == "kmeans"}
+    em = [r.loglik for r in rows if r.variant == "em" and r.status == "ok"]
     wins = sum(1 for rep in mb if mb[rep].ari > km[rep].ari)
     mb_ll = [mb[rep].loglik for rep in mb if mb[rep].status == "ok"]
     elapsed = time.perf_counter() - t0
@@ -485,9 +485,9 @@ def test_criterion_10_determinism(tmp_path):
             epochs=4,
             workers=workers,
         )
-        table = run_experiment(spec)
+        rows = run_experiment(spec)
         path = tmp_path / f"results_{attempt}.csv"
-        write_results_csv(table, path)
+        write_results_csv(rows, path)
         texts.append(strip_timing(path.read_text()))
     # BLAS threads: the same grid in fresh processes at 1 and 2 threads.  Its
     # 5000-row batches exceed the E-step's row block (families._BLOCK), so

@@ -123,6 +123,27 @@ def test_read_idx_gzip(tmp_path):
     assert np.array_equal(ds2.pixels, ds.pixels)
 
 
+class _ReadOnlyStream:
+    """A stream with ``read`` alone: it cannot seek, tell, peek or readinto."""
+
+    def __init__(self, payload: bytes):
+        self._buf = io.BytesIO(payload)
+
+    def read(self, size=-1):
+        return self._buf.read(size)
+
+
+@pytest.mark.parametrize("pack", [bytes, gzip.compress], ids=["plain", "gzip"])
+def test_read_idx_read_only_stream(pack):
+    imgs = _idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]], 2, 2)
+    labs = _idx_labels_bytes([9, 4])
+    ds = read_idx(_ReadOnlyStream(pack(imgs)), _ReadOnlyStream(pack(labs)))
+    assert np.array_equal(ds.pixels, [[1, 2, 3, 4], [5, 6, 7, 8]])
+    assert np.array_equal(ds.labels, [9, 4])
+    with pytest.raises(IdxFormatError, match="offset 16"):
+        read_idx(_ReadOnlyStream(pack(imgs[:-1])))
+
+
 # ---------------------------------------------------------------------------
 # constant-pixel filter
 # ---------------------------------------------------------------------------

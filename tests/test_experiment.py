@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from mbem.cli import main as cli_main
-from mbem.data import random_partition_init
+from mbem.data import IdxImageSet, random_partition_init, write_idx
 from mbem.engine import LearningRate, RunConfig, run
 from mbem.experiment import (
     RESULTS_COLUMNS,
     TIMING_COLUMNS,
     ExperimentSpec,
     RunRow,
-    ResultsTable,
     TemplateSource,
     ThetaSource,
     VariantSpec,
@@ -106,13 +105,13 @@ def test_experiment_spec_rejects_no_components():
 
 def test_grid_row_count_and_order():
     spec = _small_spec(reps=3)
-    table = run_experiment(spec)
-    assert len(table.rows) == 2 * 3
-    assert [(r.variant, r.rep) for r in table.rows] == [
+    rows = run_experiment(spec)
+    assert len(rows) == 2 * 3
+    assert [(r.variant, r.rep) for r in rows] == [
         ("em", 0), ("em", 1), ("em", 2),
         ("mb-0.25", 0), ("mb-0.25", 1), ("mb-0.25", 2),
     ]
-    assert all(r.status == "ok" for r in table.rows)
+    assert all(r.status == "ok" for r in rows)
 
 
 def test_nine_variant_grid_shape():
@@ -122,8 +121,8 @@ def test_nine_variant_grid_shape():
             variants.append(VariantSpec(kind, frac))
             variants.append(VariantSpec(kind + "-polyak", frac))
     spec = _small_spec(reps=2, variants=tuple(variants))
-    table = run_experiment(spec)
-    assert len(table.rows) == 9 * 2
+    rows = run_experiment(spec)
+    assert len(rows) == 9 * 2
 
 
 @pytest.mark.parametrize(
@@ -131,9 +130,9 @@ def test_nine_variant_grid_shape():
 )
 def test_single_em_row_matches_manual_run(variant):
     spec = _small_spec(reps=1, variants=(variant,), seed=5)
-    table = run_experiment(spec)
-    assert len(table.rows) == 1
-    row = table.rows[0]
+    rows = run_experiment(spec)
+    assert len(rows) == 1
+    row = rows[0]
     # redo the run from the derived seeds: the recorded loglik and ARI must
     # match the public metrics bit for bit
     data, labels, theta_true = resolve_source(spec)
@@ -172,8 +171,8 @@ def test_shared_initialization_across_variants():
     # trajectory is identical whether or not other variants run
     alone = run_experiment(_small_spec(reps=2, variants=(VariantSpec("em"),)))
     paired = run_experiment(_small_spec(reps=2))
-    em_alone = [r.loglik for r in alone.rows]
-    em_paired = [r.loglik for r in paired.rows if r.variant == "em"]
+    em_alone = [r.loglik for r in alone]
+    em_paired = [r.loglik for r in paired if r.variant == "em"]
     assert em_alone == em_paired
 
 
@@ -191,8 +190,8 @@ def test_theta_json_source(tmp_path):
         master_seed=3,
         epochs=3,
     )
-    table = run_experiment(spec)
-    row = table.rows[0]
+    rows = run_experiment(spec)
+    row = rows[0]
     assert row.status == "ok"
     assert math.isfinite(row.se)  # true parameters known -> SE defined
     assert math.isfinite(row.ari)
@@ -216,8 +215,8 @@ def test_failed_run_recorded_not_fatal():
 
 def test_kmeans_variant_row():
     spec = _small_spec(reps=1, variants=(VariantSpec("kmeans"),))
-    table = run_experiment(spec)
-    row = table.rows[0]
+    rows = run_experiment(spec)
+    row = rows[0]
     assert row.status == "ok"
     assert math.isnan(row.loglik)
     assert math.isfinite(row.ari)
@@ -227,8 +226,8 @@ def test_epoch_budget_fairness():
     # every variant's data-point visits stay within one batch of epochs * n
     n, epochs = 600, 3
     spec = _small_spec(n=n, reps=1, variants=(VariantSpec("em"), VariantSpec("mb", 0.25)))
-    table = run_experiment(spec)
-    for row in table.rows:
+    rows = run_experiment(spec)
+    for row in rows:
         if row.variant == "em":
             assert row.iterations == epochs  # one sweep (n visits) per epoch
         else:
@@ -248,9 +247,9 @@ def test_results_csv_deterministic_across_reruns_and_workers(tmp_path):
             VariantSpec("em"), VariantSpec("mb", 0.25), VariantSpec("mb-trunc-polyak", 0.25),
             VariantSpec("kmeans"),
         ))
-        table = run_experiment(spec)
+        rows = run_experiment(spec)
         path = tmp_path / f"results_{attempt}.csv"
-        write_results_csv(table, path)
+        write_results_csv(rows, path)
         texts.append(_strip_timing(path.read_text()))
     assert texts[0] == texts[1] == texts[2]
 
@@ -267,19 +266,19 @@ def _table_from_metric(values_by_variant):
                 RunRow(variant, rep, 0, "ok", v, v, float("nan"), float("nan"),
                        1, 0, 0.0, 0.0)
             )
-    return ResultsTable(rows=rows)
+    return rows
 
 
 def test_summarize_constant_column_has_zero_se():
-    table = _table_from_metric({"em": [5.0, 5.0, 5.0, 5.0]})
-    rec = [r for r in summarize(table) if r["metric"] == "loglik"][0]
+    rows = _table_from_metric({"em": [5.0, 5.0, 5.0, 5.0]})
+    rec = [r for r in summarize(rows) if r["metric"] == "loglik"][0]
     assert rec["se"] == 0.0
     assert rec["mean"] == 5.0
 
 
 def test_summarize_mean_and_se_formulas():
-    table = _table_from_metric({"em": [1.0, 2.0, 3.0]})
-    rec = [r for r in summarize(table) if r["metric"] == "loglik"][0]
+    rows = _table_from_metric({"em": [1.0, 2.0, 3.0]})
+    rec = [r for r in summarize(rows) if r["metric"] == "loglik"][0]
     assert rec["mean"] == pytest.approx(2.0, abs=1e-15)
     assert rec["median"] == pytest.approx(2.0, abs=1e-15)
     assert rec["se"] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-15)
@@ -289,29 +288,29 @@ def test_summarize_se_scale_check():
     # sd 0.04 over 100 runs -> standard error 0.004
     rng = np.random.default_rng(0)
     values = rng.normal(0.4, 0.04, 100)
-    table = _table_from_metric({"mb": list(values)})
-    rec = [r for r in summarize(table) if r["metric"] == "loglik"][0]
+    rows = _table_from_metric({"mb": list(values)})
+    rec = [r for r in summarize(rows) if r["metric"] == "loglik"][0]
     sd = values.std(ddof=1)
     assert rec["se"] == pytest.approx(sd / 10.0, rel=1e-12)
     assert rec["se"] == pytest.approx(0.004, rel=0.3)
 
 
 def test_summarize_single_run_se_zero():
-    table = _table_from_metric({"em": [7.0]})
-    rec = [r for r in summarize(table) if r["metric"] == "loglik"][0]
+    rows = _table_from_metric({"em": [7.0]})
+    rec = [r for r in summarize(rows) if r["metric"] == "loglik"][0]
     assert rec["se"] == 0.0
 
 
 def test_boxplot_single_value_variant():
-    table = _table_from_metric({"em": [4.0]})
-    rec = emit_boxplot_data(table, "loglik")[0]
+    rows = _table_from_metric({"em": [4.0]})
+    rec = emit_boxplot_data(rows, "loglik")[0]
     assert rec["min"] == rec["q1"] == rec["median"] == rec["q3"] == rec["max"] == 4.0
     assert rec["outliers"] == []
 
 
 def test_boxplot_quantiles_linear_interpolation():
-    table = _table_from_metric({"em": list(range(1, 101))})
-    rec = emit_boxplot_data(table, "loglik")[0]
+    rows = _table_from_metric({"em": list(range(1, 101))})
+    rec = emit_boxplot_data(rows, "loglik")[0]
     assert rec["q1"] == 25.75
     assert rec["median"] == 50.5
     assert rec["q3"] == 75.25
@@ -320,8 +319,8 @@ def test_boxplot_quantiles_linear_interpolation():
 
 
 def test_boxplot_outlier_detection():
-    table = _table_from_metric({"em": [1.0, 2.0, 3.0, 4.0, 100.0]})
-    rec = emit_boxplot_data(table, "loglik")[0]
+    rows = _table_from_metric({"em": [1.0, 2.0, 3.0, 4.0, 100.0]})
+    rec = emit_boxplot_data(rows, "loglik")[0]
     assert rec["outliers"] == [100.0]
     assert rec["max"] == 4.0
 
@@ -336,9 +335,9 @@ def test_boxplot_unknown_metric():
 # ---------------------------------------------------------------------------
 
 def test_results_csv_schema(tmp_path):
-    table = run_experiment(_small_spec(reps=1))
+    rows = run_experiment(_small_spec(reps=1))
     path = tmp_path / "results.csv"
-    write_results_csv(table, path)
+    write_results_csv(rows, path)
     with open(path) as f:
         reader = csv.reader(f)
         header = next(reader)
@@ -348,12 +347,12 @@ def test_results_csv_schema(tmp_path):
 
 
 def test_summary_and_boxplot_files(tmp_path):
-    table = run_experiment(_small_spec(reps=2))
-    write_summary(table, tmp_path / "summary.csv", tmp_path / "summary.json")
+    rows = run_experiment(_small_spec(reps=2))
+    write_summary(rows, tmp_path / "summary.csv", tmp_path / "summary.json")
     with open(tmp_path / "summary.json") as f:
         records = json.load(f)
     assert {r["variant"] for r in records} == {"em", "mb-0.25"}
-    write_boxplot_csv(table, "loglik", tmp_path / "boxplot_loglik.csv")
+    write_boxplot_csv(rows, "loglik", tmp_path / "boxplot_loglik.csv")
     text = (tmp_path / "boxplot_loglik.csv").read_text()
     assert text.startswith("#")  # quantile rule stated in the header
     assert "variant,min,q1,median,q3,max,outliers" in text
@@ -372,7 +371,7 @@ def test_cli_simulate_end_to_end(tmp_path):
     ])
     assert rc == 0
     for name in ("results.csv", "summary.csv", "summary.json", "boxplot_loglik.csv",
-                 "boxplot_se.csv", "boxplot_ari.csv", "meta.json"):
+                 "boxplot_loglik_per_obs.csv", "boxplot_se.csv", "boxplot_ari.csv", "meta.json"):
         assert (out / name).exists(), name
     meta = json.loads((out / "meta.json").read_text())
     assert meta["master_seed"] == 4
@@ -441,3 +440,65 @@ def test_cli_simulate_defaults_n(tmp_path):
 def test_cli_simulate_requires_out_dir():
     with pytest.raises(SystemExit):
         cli_main(["simulate", "--template", str(IRIS_CSV), "--n", "100"])
+
+
+@pytest.mark.parametrize("bad", [
+    ["--batch-frac", "-0.5"], ["--g", "0"], ["--gamma0", "1.5"], ["--c1", "0.5"],
+    ["--epochs", "0"], ["--n", "2"],
+], ids=lambda bad: bad[0])
+def test_cli_rejected_value_is_a_usage_error(tmp_path, capsys, bad):
+    # a value the spec or the grid rejects exits like argparse's own bad
+    # values: status 2 and a usage line, not a traceback
+    with pytest.raises(SystemExit) as exc:
+        cli_main([
+            "simulate", "--template", str(IRIS_CSV), "--n", "600", "--variant", "mb",
+            "--out-dir", str(tmp_path / "out"), *bad,
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mbem") and "error:" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def idx_corpus(tmp_path):
+    """200 labelled 4x4 images in two brightness classes, as IDX files."""
+    rng = np.random.default_rng(7)
+    labels = np.repeat(np.arange(2, dtype=np.uint8), 100)
+    pixels = rng.integers(0, 60, size=(200, 16)) + 120 * labels[:, None]
+    images, label_file = tmp_path / "images.idx", tmp_path / "labels.idx"
+    write_idx(IdxImageSet(pixels=pixels, rows=4, cols=4, labels=labels), images, label_file)
+    return ["--images", str(images), "--labels", str(label_file),
+            "--d-pc", "2", "--g", "2", "--epochs", "1"]
+
+
+@pytest.mark.parametrize("variants, vids", [
+    (["--variant", "all"], [
+        "em", "mb-0.1", "mb-0.1-polyak", "mb-0.2", "mb-0.2-polyak",
+        "mb-0.1-trunc", "mb-0.1-trunc-polyak", "mb-0.2-trunc", "mb-0.2-trunc-polyak",
+    ]),
+    ([], [
+        "em", "mb-0.1-trunc", "mb-0.2-trunc", "mb-0.1-trunc-polyak", "mb-0.2-trunc-polyak",
+        "kmeans",
+    ]),
+], ids=["all", "default"])
+def test_cli_mnist_variants(tmp_path, idx_corpus, variants, vids):
+    # `all` is the nine-variant grid under every subcommand; without
+    # --variant, mnist runs its own default list
+    out = tmp_path / "out"
+    rc = cli_main(["mnist", *idx_corpus, *variants, "--out-dir", str(out)])
+    assert rc == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["variants"] == vids
+    assert meta["source"]["kind"] == "idx" and "template_theta" not in meta
+
+
+@pytest.mark.parametrize("extra", [
+    ["--variant", "em", "--variant", "mb"], ["--reps", "2"],
+    ["--batch-frac", "0.1", "--batch-frac", "0.2"],
+], ids=["two-variants", "two-reps", "two-fractions"])
+def test_cli_bench_runs_one_cell(capsys, extra):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["bench", "--template", str(IRIS_CSV), "--n", "200", "--epochs", "1", *extra])
+    assert exc.value.code == 2
+    assert "bench runs one cell" in capsys.readouterr().err
