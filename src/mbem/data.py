@@ -267,8 +267,9 @@ def kmeans(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations with farthest-point reseeding of empty clusters.
 
-    Starts from the partition ``init_labels`` and runs at most ``epochs``
-    assignment/update sweeps, stopping early at a fixed point.  The
+    Starts from the partition ``init_labels``, integers in [0, g), and runs
+    at most ``epochs`` assignment/update sweeps, stopping early at a fixed
+    point.  Other initial labels raise :class:`InvalidInputError`.  The
     within-cluster sum of squares is asserted nonincreasing after every sweep.
     """
     data = np.asarray(data, dtype=float)
@@ -276,8 +277,10 @@ def kmeans(
     if g > n:
         raise InvalidInputError(f"cannot place {g} clusters on {n} points")
     labels = np.asarray(init_labels).copy()
-    if labels.shape[0] != n:
+    if labels.shape != (n,):
         raise InvalidInputError("initial labels do not match the data")
+    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= g:
+        raise InvalidInputError(f"initial labels must be integers in [0, {g})")
 
     centers = np.zeros((g, d))
     counts = np.bincount(labels, minlength=g)

@@ -180,6 +180,8 @@ class ExperimentSpec:
             raise InvalidInputError("repetitions must be >= 1")
         if not self.variants:
             raise InvalidInputError("variant list is empty")
+        if self.workers < 1:
+            raise InvalidInputError(f"workers must be >= 1, got {self.workers}")
 
 
 def resolve_source(spec: ExperimentSpec):

@@ -36,12 +36,16 @@ inverts ``_mstep`` on a stack, behind :func:`stats_from_params`, and
 ``_blend`` is the one stochastic-approximation blend of two block triples.
 
 The E-step and the evaluation pass (``_log_weighted``) work component-major
-on blocks of at most ``_BLOCK`` rows.  Each block is transposed once to
-(d, b); each Gaussian component whitens the centred block y - mu_z with one
-GEMM by its inverse Cholesky factor L_z^-1 (never L^-1 y - L^-1 mu, which
-cancels when |mu| is much larger than the spread), and the log-weighted
-matrix, responsibilities, mass, first moment and scatter come from
-contiguous (g, b) rows, summed over blocks.  L^-1 is computed once per pass.
+on blocks of rows.  Each block is transposed once to (d, b); each Gaussian
+component whitens the centred block y - mu_z with one GEMM by its inverse
+Cholesky factor L_z^-1 (never L^-1 y - L^-1 mu, which cancels when |mu| is
+much larger than the spread), and the log-weighted matrix, responsibilities,
+mass, first moment and scatter come from contiguous (g, b) rows, summed over
+blocks.  L^-1 is computed once per pass.  A block has
+``_BLOCK_ELEMENTS // (g d)`` rows (:func:`_block_rows`), so its largest
+temporary, the (g, d, b) scatter product, holds at most ``_BLOCK_ELEMENTS``
+float64 (1 MiB) whatever the shape: a fixed row count either wastes passes
+at small g d or builds a scatter product of many megabytes at large g d.
 A single Gaussian observation has its own kernel (``_row_log_weighted``,
 ``_row_estep``), with no blocks, transposes or division by n.  It keeps the
 triangular solve: batch-size-1 truncated runs are chaotic, so a last-bit
@@ -85,9 +89,9 @@ _TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
 #: LAPACK triangular inverse, behind :func:`_inverse_factors`.
 _TRTRI = get_lapack_funcs("trtri", (np.empty((1, 1)),))
 
-#: Rows per block of the E-step and evaluation passes.  It bounds their
-#: (d, b) and (g, d, b) temporaries, so memory does not grow with the batch.
-_BLOCK = 4096
+#: Elements of the largest temporary of an E-step or evaluation block, the
+#: (g, d, b) scatter product; memory does not grow with the batch.
+_BLOCK_ELEMENTS = 2**17
 
 
 # ---------------------------------------------------------------------------
@@ -430,11 +434,17 @@ def _rate_log_density(p: _Stacked, z: int, x: np.ndarray) -> np.ndarray:
         return np.where(support, x * math.log(rate) - rate - gammaln(x + 1.0), -np.inf)
 
 
-def _blocks(y: np.ndarray):
-    """``(start, yt)`` per block of at most ``_BLOCK`` rows of ``y``, with
+def _block_rows(g: int, d: int) -> int:
+    """Rows per block of a pass with ``g`` components in ``d`` dimensions."""
+    return max(1, _BLOCK_ELEMENTS // (g * d))
+
+
+def _blocks(y: np.ndarray, g: int):
+    """``(start, yt)`` per block of :func:`_block_rows` rows of ``y``, with
     ``yt`` the block transposed once to a C-ordered (d, b) matrix."""
-    for start in range(0, y.shape[0], _BLOCK):
-        yield start, np.ascontiguousarray(y[start : start + _BLOCK].T)
+    rows = _block_rows(g, y.shape[1])
+    for start in range(0, y.shape[0], rows):
+        yield start, np.ascontiguousarray(y[start : start + rows].T)
 
 
 def _block_log_weighted(yt: np.ndarray, p: _Stacked, inv: np.ndarray | None, out: np.ndarray) -> np.ndarray:
@@ -486,9 +496,10 @@ def _log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
     :func:`_row_log_weighted`)."""
     if p.family == "gaussian" and y.shape[0] == 1:
         return _row_log_weighted(y[0], p)[:, None]
-    lw = np.empty((p.weights.shape[0], y.shape[0]))
+    g = p.weights.shape[0]
+    lw = np.empty((g, y.shape[0]))
     inv = _inverse_factors(p)
-    for start, yt in _blocks(y):
+    for start, yt in _blocks(y, g):
         _block_log_weighted(yt, p, inv, lw[:, start : start + yt.shape[1]])
     return lw
 
@@ -520,8 +531,8 @@ def _normalise(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
 
 def _log_weighted_rows(y: np.ndarray, theta: MixtureParams) -> tuple:
     """Validate ``y`` and return the (g, n) :func:`_log_weighted` matrix at
-    ``theta`` with its column maximum: one density pass that both the
-    log-sum-exp and the normalised responsibilities can be read from."""
+    ``theta`` with its column maximum: one density pass that the log-sum-exp,
+    the normalised responsibilities and the MAP labels can be read from."""
     lw = _log_weighted(_as_data_matrix(y, theta.dim), _stack(theta))
     return lw, lw.max(axis=0)
 
@@ -570,7 +581,7 @@ def _estep(y: np.ndarray, p: _Stacked) -> tuple:
     g = p.weights.shape[0]
     inv = _inverse_factors(p)
     total = None
-    for _, yt in _blocks(y):
+    for _, yt in _blocks(y, g):
         lw = _block_log_weighted(yt, p, inv, np.empty((g, yt.shape[1])))
         tau = _normalise(lw, lw.max(axis=0))
         part = [tau.sum(axis=1), tau @ yt.T]

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidInputError
-from .families import MixtureParams, _log_sum_exp, _log_weighted_rows, _normalise
+from .errors import DegeneratePointError, InvalidInputError
+from .families import MixtureParams, _log_sum_exp, _log_weighted_rows
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,10 @@ class MetricReport:
 def dataset_loglik(data: np.ndarray, theta: MixtureParams) -> float:
     """Total log-likelihood sum_i log f(y_i; theta).
 
-    Summed with exact compensated accumulation (``math.fsum``), so the result
-    is independent of data ordering and duplicating every observation doubles
-    the value exactly.
+    The sum is exact and correctly rounded, equal bit for bit to
+    ``math.fsum`` over the per-observation terms (:func:`_exact_sum`), so the
+    result is independent of data ordering and duplicating every observation
+    doubles the value exactly.
     """
     data = np.asarray(data, dtype=float)
     if data.shape[0] < 1:
@@ -46,7 +47,10 @@ def dataset_loglik(data: np.ndarray, theta: MixtureParams) -> float:
 def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:
     """Maximum a posteriori component label per observation (0-based).
 
-    Ties break toward the lowest component index.
+    The label is the first component whose log pi_z + log f(y; omega_z) is
+    the column maximum, so ties break toward the lowest component index.
+    Raises :class:`DegeneratePointError` if some observation has zero density
+    under every component.
     """
     return _map_labels(_log_weighted_rows(data, theta))
 
@@ -56,12 +60,63 @@ def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:
 
 def _loglik(rows: tuple) -> float:
     """:func:`dataset_loglik` from a log-weighted density pass."""
-    return math.fsum(_log_sum_exp(*rows).tolist())
+    return _exact_sum(_log_sum_exp(*rows))
 
 
 def _map_labels(rows: tuple) -> np.ndarray:
     """:func:`map_labels` from a log-weighted density pass."""
-    return np.argmax(_normalise(*rows), axis=0)
+    lw, top = rows
+    if not np.isfinite(top).all():
+        raise DegeneratePointError("observation has zero density under every component")
+    # label = number of leading components below the maximum: branch-free
+    # row passes, where argmax down the short component axis is a strided scan.
+    below = lw[0] != top
+    labels = below.astype(np.intp)
+    for z in range(1, lw.shape[0] - 1):
+        below &= lw[z] != top
+        labels += below
+    return labels
+
+
+#: Extraction passes of :func:`_exact_sum` before ``math.fsum`` takes the rest.
+_EXTRACTIONS = 2
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 vector: ``math.fsum(x.tolist())``,
+    bit for bit, without the Python list.
+
+    Error-free extraction (Rump, Ogita & Oishi 2008, SIAM J. Sci. Comput.
+    31(1)): with n < 2^M and every |x_i| < 2^e, sigma = 2^(e+M) splits each
+    x_i into q_i = (sigma + x_i) - sigma, a multiple of 2^(e+M-53), and the
+    exact remainder x_i - q_i, below 2^(e+M-53) in magnitude.  The q_i sum
+    to at most sigma, so their floating-point sum is exact in any order.
+    Each pass repeats this on the remainders; ``math.fsum`` then rounds the
+    exact pass sums together with the remainders that are still nonzero.
+    Non-finite input, all-zero input and a sigma that would overflow go to
+    ``math.fsum`` whole, so inf, NaN, signed zeros and ``OverflowError``
+    behave exactly as there.
+    """
+    hi, lo = float(x.max(initial=0.0)), float(x.min(initial=0.0))
+    top = max(hi, -lo)
+    if not (math.isfinite(hi) and math.isfinite(lo)) or top == 0.0:
+        return math.fsum(x.tolist())
+    bits = x.size.bit_length()
+    exponent = math.frexp(top)[1] + bits
+    if exponent > 1022:
+        return math.fsum(x.tolist())
+    parts, rest, q = [], x, None
+    # Below 2^-1000 a pass would leave the normal range; fsum takes the rest.
+    for _ in range(_EXTRACTIONS):
+        if exponent < -1000:
+            break
+        sigma = math.ldexp(1.0, exponent)
+        q = np.add(rest, sigma, out=q)
+        q -= sigma
+        parts.append(float(q.sum()))
+        rest = np.subtract(rest, q, out=None if rest is x else rest)
+        exponent -= 53 - bits
+    return math.fsum(parts + rest[rest != 0.0].tolist())
 
 
 def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
@@ -78,25 +133,45 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     n = a.shape[0]
     if n < 2:
         raise InvalidInputError("need at least two observations")
-    _, a_codes = np.unique(a, return_inverse=True)
-    _, b_codes = np.unique(b, return_inverse=True)
-    ka, kb = int(a_codes.max()) + 1, int(b_codes.max()) + 1
-    table = np.zeros((ka, kb), dtype=np.int64)
-    np.add.at(table, (a_codes, b_codes), 1)
+    table = _contingency(a, b)
 
-    def choose2(x: int) -> int:
-        return x * (x - 1) // 2
+    # The int64 counts are at most n, so each choose2 and each of the three
+    # pair sums stays below n^2 / 2, within int64 up to n = 3e9; the marginal
+    # product below does not, so it is taken in Python ints (int64 overflows
+    # near n = 1e5).
+    def pairs(counts: np.ndarray) -> int:
+        return int((counts * (counts - 1) // 2).sum())
 
-    # Python ints: the marginal products overflow int64 near n = 1e5.
-    pair_index = sum(choose2(int(v)) for v in table.ravel())
-    row_pairs = sum(choose2(int(v)) for v in table.sum(axis=1))
-    col_pairs = sum(choose2(int(v)) for v in table.sum(axis=0))
-    total_pairs = choose2(n)
+    pair_index = pairs(table)
+    row_pairs = pairs(table.sum(axis=1))
+    col_pairs = pairs(table.sum(axis=0))
+    total_pairs = n * (n - 1) // 2
     expected = row_pairs * col_pairs / total_pairs
     maximum = (row_pairs + col_pairs) / 2.0
     if maximum == expected:
         return 1.0
     return (pair_index - expected) / (maximum - expected)
+
+
+def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Integer contingency table of two equal-length label vectors.
+
+    Non-negative integer labels whose table has at most n cells are counted
+    by one ``np.bincount`` of the labels themselves; unused labels add empty
+    rows and columns, which add 0 to every pair sum.  Other labels (negative,
+    bool, float, or a table larger than n) are first coded by ``np.unique``.
+    """
+    n = a.shape[0]
+    if a.dtype.kind in "iu" and b.dtype.kind in "iu" and a.min() >= 0 and b.min() >= 0:
+        ka, kb = int(a.max()) + 1, int(b.max()) + 1
+        if ka * kb <= n:
+            codes = a.astype(np.intp) * kb + b.astype(np.intp)
+            return np.bincount(codes, minlength=ka * kb).reshape(ka, kb)
+    _, a_codes = np.unique(a, return_inverse=True)
+    _, b_codes = np.unique(b, return_inverse=True)
+    table = np.zeros((int(a_codes.max()) + 1, int(b_codes.max()) + 1), dtype=np.int64)
+    np.add.at(table, (a_codes, b_codes), 1)
+    return table
 
 
 def _component_blocks(theta: MixtureParams) -> np.ndarray:

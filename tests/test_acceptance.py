@@ -490,7 +490,8 @@ def test_criterion_10_determinism(tmp_path):
         write_results_csv(rows, path)
         texts.append(strip_timing(path.read_text()))
     # BLAS threads: the same grid in fresh processes at 1 and 2 threads.  Its
-    # 5000-row batches exceed the E-step's row block (families._BLOCK), so
+    # 5000-row batches are each one E-step block (families._block_rows gives
+    # 10922 rows at d = 4, g = 3) and its 20000-row batch-EM passes two, so
     # the blocked GEMMs are large enough for OpenBLAS to split.
     src = str(Path(mbem.__file__).resolve().parents[1])
     threaded = []

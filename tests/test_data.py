@@ -354,6 +354,16 @@ def test_kmeans_validation():
         kmeans(np.zeros((5, 1)), 2, epochs=1, init_labels=np.zeros(4, dtype=int))
 
 
+@pytest.mark.parametrize("start", [
+    [0, 1, -1, 0],  # np.bincount would raise its own ValueError
+    [0, 1, 2, 0],  # label g: its points would seed no centre
+    [0.0, 1.0, 1.0, 0.0],
+], ids=["negative", "g", "float"])
+def test_kmeans_rejects_labels_outside_components(start):
+    with pytest.raises(InvalidInputError, match=r"integers in \[0, 2\)"):
+        kmeans(np.arange(8.0).reshape(4, 2), 2, epochs=1, init_labels=np.array(start))
+
+
 # ---------------------------------------------------------------------------
 # labeled-CSV templates
 # ---------------------------------------------------------------------------

@@ -444,7 +444,7 @@ def test_cli_simulate_requires_out_dir():
 
 @pytest.mark.parametrize("bad", [
     ["--batch-frac", "-0.5"], ["--g", "0"], ["--gamma0", "1.5"], ["--c1", "0.5"],
-    ["--epochs", "0"], ["--n", "2"],
+    ["--epochs", "0"], ["--n", "2"], ["--workers", "0"],
 ], ids=lambda bad: bad[0])
 def test_cli_rejected_value_is_a_usage_error(tmp_path, capsys, bad):
     # a value the spec or the grid rejects exits like argparse's own bad

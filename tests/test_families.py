@@ -31,7 +31,7 @@ from mbem.families import (
     theta_bar,
     unpack_symmetric,
 )
-from mbem.families import _BLOCK, _blend, _estep, _log_weighted, _stack
+from mbem.families import _blend, _block_rows, _estep, _log_weighted, _stack
 
 from conftest import make_gaussian_mixture
 
@@ -389,11 +389,19 @@ def _reference_sbar(y, theta):
     tau = np.exp(lw - lw.max(axis=1)[:, None])
     tau /= tau.sum(axis=1)[:, None]
     n, d = y.shape
-    mass, moment1 = tau.mean(axis=0), tau.T @ y / n
+
+    # Column means of the products tau_z, tau_z y_j and (tau_z y_i) y_j, each
+    # summed exactly: a plain column sum drifts by about n ulps, more than
+    # the 1e-12 the kernels are held to at 1e5 rows.
+    def mean(cols):
+        return np.array([math.fsum(c.tolist()) for c in cols.T]) / n
+
+    mass = mean(tau)
+    moment1 = np.stack([mean(tau[:, z : z + 1] * y) for z in range(theta.g)])
     if theta.family_tag != "gaussian":
         return mass, moment1, None
-    iu = np.triu_indices(d)
-    return mass, moment1, np.stack([((tau[:, z : z + 1] * y).T @ y / n)[iu] for z in range(theta.g)])
+    rows, cols = np.triu_indices(d)
+    return mass, moment1, np.stack([mean((tau[:, z : z + 1] * y)[:, rows] * y[:, cols]) for z in range(theta.g)])
 
 
 def _reference_theta_bar(mass, moment1, moment2):
@@ -410,12 +418,28 @@ def _reference_theta_bar(mass, moment1, moment2):
     return mass / mass.sum(), means, np.stack(covs)
 
 
-# n = 40 keeps the ids "<family>-<seed>"; the other sizes straddle the row
-# blocks (_BLOCK rows) of the E-step and evaluation passes.
+def _kernel_shape(family):
+    """(g, d) of a kernel-test family: "gaussian-dxg" (g defaults to 3) or a
+    two-component rate family."""
+    if not family.startswith("gaussian"):
+        return 2, 1
+    d, _, g = family.removeprefix("gaussian-").partition("x")
+    return int(g or 3), int(d)
+
+
+def _kernel_sizes(family):
+    """Row counts of a kernel case: n = 40 keeps the ids "<family>-<seed>",
+    4095 to 8195 are fixed sizes kept for their stable ids, and b - 1 to
+    2b + 3 straddle the family's own row blocks (b rows) of the E-step and
+    evaluation passes."""
+    b = _block_rows(*_kernel_shape(family))
+    return (1, 2, 40, 4095, 4096, 4097, 8195, b - 1, b, b + 1, 2 * b + 3)
+
+
 _KERNEL_CASES = [
     pytest.param(family, seed, n, id=f"{family}-{seed}" + ("" if n == 40 else f"-n{n}"))
-    for n in (1, 2, 40, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3)
     for family in ("gaussian-1", "gaussian-3", "gaussian-3x10", "exponential", "poisson")
+    for n in _kernel_sizes(family)
     for seed in (0, 1, 2)
 ]
 
@@ -430,8 +454,8 @@ def test_stacked_kernels_equal_per_component_reference(family, seed, n):
     # (default 3), and g >= 8 is where numpy's row sums turn pairwise.
     rng = np.random.default_rng(seed)
     if family.startswith("gaussian"):
-        d, _, g = family.removeprefix("gaussian-").partition("x")
-        theta = make_gaussian_mixture(rng, int(d), int(g or 3))
+        g, d = _kernel_shape(family)
+        theta = make_gaussian_mixture(rng, d, g)
     else:
         cls = Exponential if family == "exponential" else Poisson
         theta = MixtureParams([0.3, 0.7], (cls(float(rng.uniform(0.5, 2))), cls(float(rng.uniform(3, 9)))))

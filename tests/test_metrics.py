@@ -3,11 +3,15 @@ from itertools import combinations, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mbem.errors import InvalidInputError
-from mbem.families import Gaussian, MixtureParams, Poisson, sample
+from mbem.errors import DegeneratePointError, InvalidInputError
+from mbem.families import Exponential, Gaussian, MixtureParams, Poisson, responsibilities_batch, sample
 from mbem.metrics import (
     MetricReport,
+    _contingency,
+    _exact_sum,
     adjusted_rand_index,
     dataset_loglik,
     map_labels,
@@ -67,6 +71,59 @@ def test_loglik_requires_data():
         dataset_loglik(np.zeros((0, 1)), STD_NORMAL_1D)
 
 
+def _outcome(total, values):
+    """What a summation function does with ``values``: its value (repr keeps
+    the sign of zero and NaN) or its exception type and message."""
+    try:
+        return repr(total(values))
+    except (OverflowError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_sums_like_fsum(values):
+    x = np.array(values, dtype=float)
+    assert _outcome(_exact_sum, x) == _outcome(math.fsum, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40))
+def test_exact_sum_equals_fsum_on_finite_floats(values):
+    # every finite double: ±0.0, subnormals, mixed signs, up to 1.8e308, and
+    # sums that overflow, where both raise the same OverflowError
+    _assert_sums_like_fsum(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=20))
+def test_exact_sum_equals_fsum_with_inf_and_nan(values):
+    _assert_sums_like_fsum(values)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(1, 5000),
+    span=st.tuples(st.integers(-1074, 1023), st.integers(-1074, 1023)).map(sorted),
+)
+def test_exact_sum_equals_fsum_above_2_17_rows(seed, extra, span):
+    # more rows than 2^17, so each extraction keeps fewer than 36 bits, with
+    # signs and binary exponents drawn across the span
+    rng = np.random.default_rng(seed)
+    n = 2**17 + extra
+    x = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(span[0], span[1] + 1, n))
+    _assert_sums_like_fsum(x.tolist())
+
+
+@pytest.mark.parametrize("values", [
+    [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [-0.0, 1.0, -1.0], [5e-324, -5e-324],
+    [1e308, 1e308], [1e308, 1e308, -1e308], [-1.7e308, -1.7e308],
+    [math.inf, 1.0], [math.inf, -math.inf], [math.nan, 1.0], [1e308, math.inf],
+    [1.0, 1e100, 1.0, -1e100], [2.0**-1022, 2.0**-1074, -(2.0**-1023)],
+])
+def test_exact_sum_equals_fsum_on_edge_cases(values):
+    _assert_sums_like_fsum(values)
+
+
 # ---------------------------------------------------------------------------
 # map_labels
 # ---------------------------------------------------------------------------
@@ -79,6 +136,36 @@ def test_map_labels_single_component(rng):
 def test_map_labels_tie_breaks_to_lowest_index():
     theta = MixtureParams([0.5, 0.5], (Gaussian([-1.0], [[1.0]]), Gaussian([1.0], [[1.0]])))
     assert map_labels(np.array([[0.0]]), theta)[0] == 0
+
+
+def test_map_labels_ties_break_to_lowest_index_among_tied():
+    # components 1 and 2 are identical and tie for the maximum; 0 is far off
+    theta = MixtureParams(
+        [0.2, 0.4, 0.4],
+        (Gaussian([-5.0], [[1.0]]), Gaussian([5.0], [[1.0]]), Gaussian([5.0], [[1.0]])),
+    )
+    assert map_labels(np.array([[4.0], [6.0], [-5.0]]), theta).tolist() == [1, 1, 0]
+    same = MixtureParams([0.25] * 4, (Gaussian([0.0], [[1.0]]),) * 4)
+    assert np.array_equal(map_labels(np.linspace(-3, 3, 7)[:, None], same), np.zeros(7, dtype=int))
+
+
+@pytest.mark.parametrize("d, g", [(1, 1), (1, 2), (2, 3), (4, 3), (3, 10)])
+def test_map_labels_equal_argmax_of_responsibilities(d, g):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        theta = make_gaussian_mixture(rng, d, g, weight_floor=0.05)
+        data, _ = sample(theta, 3000, rng)
+        fitted = map_labels(data, theta)
+        assert fitted.dtype == np.intp
+        assert np.array_equal(fitted, np.argmax(responsibilities_batch(data, theta), axis=1))
+
+
+def test_map_labels_rate_family_and_zero_density_row():
+    theta = MixtureParams([0.5, 0.5], (Exponential(0.5), Exponential(4.0)))
+    data = np.array([[0.01], [0.2], [3.0], [9.0]])
+    assert np.array_equal(map_labels(data, theta), np.argmax(responsibilities_batch(data, theta), axis=1))
+    with pytest.raises(DegeneratePointError):
+        map_labels(np.array([[1.0], [-1.0]]), theta)
 
 
 def test_map_labels_recovers_well_separated_sample(rng):
@@ -158,6 +245,52 @@ def test_ari_both_single_cluster_convention():
 def test_ari_length_mismatch():
     with pytest.raises(InvalidInputError):
         adjusted_rand_index([0, 1], [0, 1, 2])
+
+
+def _ari_by_unique(a, b):
+    """The index on labels coded 0..k-1 in sorted order, as float labels,
+    which always take the np.unique path."""
+    return adjusted_rand_index(np.unique(a, return_inverse=True)[1].astype(float),
+                               np.unique(b, return_inverse=True)[1].astype(float))
+
+
+def test_ari_bincount_path_equals_unique_path():
+    rng = np.random.default_rng(3)
+    n = 5000
+    truth = rng.integers(0, 4, n)
+    noisy = np.where(rng.random(n) < 0.3, rng.integers(0, 4, n), truth)
+    cases = {
+        "contiguous": (truth, noisy),
+        "non-contiguous": (np.array([0, 3, 7, 20])[truth], np.array([1, 5, 6, 40])[noisy]),
+        "uint8": (truth.astype(np.uint8), (noisy * 60).astype(np.uint8)),
+    }
+    for a, b in cases.values():
+        table = _contingency(a, b)
+        assert table.shape == (int(a.max()) + 1, int(b.max()) + 1)  # bincount path
+        assert adjusted_rand_index(a, b) == _ari_by_unique(a, b)
+    value = adjusted_rand_index(truth, noisy)
+    fallbacks = {
+        "negative": (truth - 2, noisy),
+        "bool": (truth == 1, noisy == 1),
+        "float": (truth.astype(float), noisy.astype(float)),
+    }
+    for name, (a, b) in fallbacks.items():
+        assert _contingency(a, b).shape == (np.unique(a).size, np.unique(b).size)
+        expected = value if name != "bool" else _ari_by_unique(a, b)
+        assert adjusted_rand_index(a, b) == expected
+
+
+def test_ari_huge_label_takes_unique_path():
+    # a bincount over labels up to 2^62 would need an impossible table; the
+    # (max a + 1)(max b + 1) <= n bound sends it to np.unique
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, 3, 1000)
+    big = np.array([0, 7, 2**62])[a]
+    assert _contingency(big, a).shape == (3, 3)
+    assert adjusted_rand_index(big, a) == 1.0
+    b = rng.integers(0, 3, 1000)
+    assert _contingency(big.astype(np.uint64), b).shape == (3, 3)
+    assert adjusted_rand_index(big.astype(np.uint64), b) == adjusted_rand_index(a, b)
 
 
 def test_ari_large_n_no_overflow():
