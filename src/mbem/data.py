@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IdxFormatError, InitializationError, InvalidInputError
-from .families import Gaussian, MixtureParams
+from .families import Gaussian, MixtureParams, _block_rows
 
 # IDX container layout (big endian):
 #   u8  0x00 0x00   | reserved
@@ -271,6 +271,11 @@ def kmeans(
     at most ``epochs`` assignment/update sweeps, stopping early at a fixed
     point.  Other initial labels raise :class:`InvalidInputError`.  The
     within-cluster sum of squares is asserted nonincreasing after every sweep.
+
+    No (n, d) temporary is built: the squared row norms and the
+    within-cluster sum of squares are taken over row blocks, and a sweep
+    holds one (n, g) distance matrix, from one product of the data with the
+    centres, besides one cluster's rows at a time.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
@@ -288,12 +293,23 @@ def kmeans(
     for z in range(g):
         centers[z] = data[labels == z].mean(axis=0) if counts[z] > 0 else grand_mean
 
-    sq_norms = (data * data).sum(axis=1)
+    step = _block_rows(1, d)
+    blocks = [slice(start, start + step) for start in range(0, n, step)]
+    sq_norms = np.empty(n)
+    for rows in blocks:
+        block = data[rows]
+        (block * block).sum(axis=1, out=sq_norms[rows])
     prev_wcss = np.inf
     for _ in range(epochs):
-        dist = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
+        # sq_norms - 2 y.c + |c|^2, built in place: adding -2 y.c equals
+        # subtracting 2 y.c exactly.
+        dist = data @ centers.T
+        dist *= -2.0
+        dist += sq_norms[:, None]
+        dist += (centers * centers).sum(axis=1)
         new_labels = np.argmin(dist, axis=1)
-        point_cost = dist[np.arange(n), new_labels]
+        point_cost = dist.min(axis=1)
+        del dist
         empty = np.flatnonzero(np.bincount(new_labels, minlength=g) == 0)
         for z in empty:
             far = int(np.argmax(point_cost))
@@ -304,7 +320,11 @@ def kmeans(
             members = new_labels == z
             if np.any(members):
                 centers[z] = data[members].mean(axis=0)
-        wcss = float(((data - centers[new_labels]) ** 2).sum())
+        wcss = 0.0
+        for rows in blocks:
+            diff = centers[new_labels[rows]]
+            np.subtract(data[rows], diff, out=diff)
+            wcss += float(np.einsum("ij,ij->", diff, diff))
         assert wcss <= prev_wcss + 1e-8 * max(1.0, abs(prev_wcss)), "WCSS increased"
         if np.array_equal(new_labels, labels):
             labels = new_labels

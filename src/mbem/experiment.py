@@ -32,8 +32,8 @@ from .data import (
 )
 from .engine import DEFAULT_LEARNING_RATE, LearningRate, RunConfig, TruncationRegion, run
 from .errors import EngineRunError, EstimationError, InvalidInputError
-from .families import MixtureParams, _log_weighted_rows, params_from_dict, params_to_dict, sample
-from .metrics import MetricReport, _loglik, _map_labels, adjusted_rand_index, squared_error
+from .families import MixtureParams, _density_pass, params_from_dict, params_to_dict, sample
+from .metrics import MetricReport, _exact_sum, adjusted_rand_index, squared_error
 
 _MASK64 = (1 << 64) - 1
 
@@ -235,16 +235,17 @@ def _init_worker(data, labels, theta_true):
 
 
 def _evaluate(theta, data, labels, theta_true, runtime: float) -> MetricReport:
-    # One density pass at theta gives both the log-likelihood and the MAP
-    # labels; they equal dataset_loglik and map_labels bit for bit.
-    rows = _log_weighted_rows(data, theta)
-    loglik = _loglik(rows)
+    # One density pass at theta gives the log-likelihood and, for a labelled
+    # source, the MAP labels; they equal dataset_loglik and map_labels bit for
+    # bit.  Without labels a zero-density row only makes the loglik -inf.
+    dens, fitted = _density_pass(data, theta, labels=labels is not None)
+    loglik = _exact_sum(dens)
     se = float("nan")
     if theta_true is not None and theta_true.g == theta.g and theta_true.dim == theta.dim:
         se = squared_error(theta, theta_true)
     ari = float("nan")
     if labels is not None:
-        ari = adjusted_rand_index(_map_labels(rows), labels)
+        ari = adjusted_rand_index(fitted, labels)
     return MetricReport(loglik=loglik, se=se, ari=ari, runtime_seconds=runtime)
 
 
@@ -296,6 +297,12 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     A variant's name and fraction give its :class:`RunConfig`: a batch size
     when it has a fraction, the region when the name holds ``trunc``, and
     averaging when it ends in ``-polyak``.
+
+    The data is the only data-sized array the grid holds: the sample is drawn
+    in place, and k-means and the evaluation pass work by row blocks.  A
+    serial grid clears its per-process context when it ends, also on error,
+    so the data is released with the grid; pool workers hold their own copy
+    for the life of the pool.
     """
     data, labels, theta_true = resolve_source(spec)
     n = data.shape[0]
@@ -318,7 +325,12 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
             tasks.append((variant, rep, *inits[rep], config))
     if spec.workers <= 1:
         _init_worker(data, labels, theta_true)
-        rows = [_run_task(task) for task in tasks]
+        try:
+            rows = [_run_task(task) for task in tasks]
+        finally:
+            # Release the data, so the next grid does not sample beside it.
+            global _CTX
+            _CTX = None
     else:
         with ProcessPoolExecutor(
             max_workers=spec.workers,

@@ -35,8 +35,9 @@ factorisation per component that the next E-step reuses.  ``_stats``
 inverts ``_mstep`` on a stack, behind :func:`stats_from_params`, and
 ``_blend`` is the one stochastic-approximation blend of two block triples.
 
-The E-step and the evaluation pass (``_log_weighted``) work component-major
-on blocks of rows.  Each block is transposed once to (d, b); each Gaussian
+The E-step and the evaluation pass (``_density_pass``: per-row log
+densities and MAP labels) work component-major on blocks of rows.  Each
+block is transposed once to (d, b); each Gaussian
 component whitens the centred block y - mu_z with one GEMM by its inverse
 Cholesky factor L_z^-1 (never L^-1 y - L^-1 mu, which cancels when |mu| is
 much larger than the spread), and the log-weighted matrix, responsibilities,
@@ -529,12 +530,53 @@ def _normalise(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
     return tau
 
 
-def _log_weighted_rows(y: np.ndarray, theta: MixtureParams) -> tuple:
-    """Validate ``y`` and return the (g, n) :func:`_log_weighted` matrix at
-    ``theta`` with its column maximum: one density pass that the log-sum-exp,
-    the normalised responsibilities and the MAP labels can be read from."""
-    lw = _log_weighted(_as_data_matrix(y, theta.dim), _stack(theta))
-    return lw, lw.max(axis=0)
+def _density_pass(y: np.ndarray, theta: MixtureParams, labels: bool = False) -> tuple:
+    """The evaluation pass: validate ``y`` and return its per-row log mixture
+    densities (n,) and, with ``labels``, its MAP component labels (n,), else
+    None.
+
+    Works through the blocks of :func:`_log_weighted` (one Gaussian row by
+    :func:`_row_log_weighted`) and holds one (g, b) log-weighted block at a
+    time, never the (g, n) matrix.  The results equal :func:`_log_sum_exp`
+    of the full matrix and its first column maximum bit for bit.  A row of
+    zero density under every component has log density -inf; with
+    ``labels`` it raises :class:`DegeneratePointError`.
+    """
+    y = _as_data_matrix(y, theta.dim)
+    p = _stack(theta)
+    n, g = y.shape[0], theta.g
+    one_row = p.family == "gaussian" and n == 1
+    inv = None if one_row else _inverse_factors(p)
+    dens = np.empty(n)
+    found = np.empty(n, dtype=np.intp) if labels else None
+    # NumPy sums the columns of a (g, w >= 2) matrix one component row at a
+    # time, as it does those of the full (g, n) matrix, but a lone column as
+    # one vector, pairwise from g = 8 on.  So each block's log-sum-exp runs
+    # over the whole buffer, two columns or more unless n = 1, and a short
+    # last block keeps only its own columns.
+    lw = np.zeros((g, min(n, max(2, _block_rows(g, y.shape[1])))))
+    for start, yt in _blocks(y, g):
+        b = yt.shape[1]
+        if one_row:
+            lw[:, 0] = _row_log_weighted(y[0], p)
+        else:
+            _block_log_weighted(yt, p, inv, lw[:, :b])
+        top = lw.max(axis=0)
+        dens[start : start + b] = _log_sum_exp(lw, top)[:b]
+        if found is None:
+            continue
+        block, top = lw[:, :b], top[:b]
+        if not np.isfinite(top).all():
+            raise DegeneratePointError("observation has zero density under every component")
+        # label = number of leading components below the maximum: branch-free
+        # row passes, where argmax down the short component axis is a strided scan.
+        below = block[0] != top
+        out = found[start : start + b]
+        out[:] = below
+        for z in range(1, g - 1):
+            below &= block[z] != top
+            out += below
+    return dens, found
 
 
 def log_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
@@ -543,7 +585,7 @@ def log_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Returns -inf where every component assigns zero density; raises
     :class:`InvalidInputError` on non-finite coordinates.
     """
-    return _log_sum_exp(*_log_weighted_rows(y, theta))
+    return _density_pass(y, theta)[0]
 
 
 def log_density(y: np.ndarray, theta: MixtureParams) -> float:
@@ -557,7 +599,8 @@ def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Raises :class:`DegeneratePointError` if some observation has zero density
     under every component.
     """
-    return _normalise(*_log_weighted_rows(y, theta)).T
+    lw = _log_weighted(_as_data_matrix(y, theta.dim), _stack(theta))
+    return _normalise(lw, lw.max(axis=0)).T
 
 
 # ---------------------------------------------------------------------------
@@ -737,20 +780,23 @@ def sample(theta: MixtureParams, n: int, rng: np.random.Generator) -> tuple[np.n
 
     Labels are 0-based.  Draws are bit-reproducible for a given generator
     state: labels first, then one fixed block of component draws.
+
+    Gaussian rows are transformed in place: the standard-normal draw is the
+    returned array, and each component's rows become mean + L noise.  Every
+    row belongs to one component, so each is transformed once, from its own
+    noise.  Besides the data, only one component's gathered rows and their
+    product by L^T are held at a time, the two buffers one GEMM needs.
     """
     if n < 1:
         raise InvalidInputError("sample size must be at least 1")
     labels = rng.choice(theta.g, size=n, p=theta.weights)
     if theta.family_tag == "gaussian":
-        d = theta.dim
-        noise = rng.standard_normal((n, d))
-        out = np.empty((n, d))
-        for z in range(theta.g):
+        out = rng.standard_normal((n, theta.dim))
+        for z, comp in enumerate(theta.components):
             idx = labels == z
             if not np.any(idx):
                 continue
-            chol = np.linalg.cholesky(theta.components[z].cov)
-            out[idx] = theta.components[z].mean + noise[idx] @ chol.T
+            out[idx] = out[idx] @ np.linalg.cholesky(comp.cov).T + comp.mean
         return out, labels
     rates = theta.rates()
     if theta.family_tag == "exponential":

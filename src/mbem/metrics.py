@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DegeneratePointError, InvalidInputError
-from .families import MixtureParams, _log_sum_exp, _log_weighted_rows
+from .errors import InvalidInputError
+from .families import MixtureParams, _density_pass
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ def dataset_loglik(data: np.ndarray, theta: MixtureParams) -> float:
     data = np.asarray(data, dtype=float)
     if data.shape[0] < 1:
         raise InvalidInputError("need at least one observation")
-    return _loglik(_log_weighted_rows(data, theta))
+    return _exact_sum(_density_pass(data, theta)[0])
 
 
 def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:
@@ -52,30 +52,7 @@ def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Raises :class:`DegeneratePointError` if some observation has zero density
     under every component.
     """
-    return _map_labels(_log_weighted_rows(data, theta))
-
-
-# Both read the ((g, n) log-weighted matrix, column maximum) pair of
-# ``families._log_weighted_rows``, so one density pass can serve both.
-
-def _loglik(rows: tuple) -> float:
-    """:func:`dataset_loglik` from a log-weighted density pass."""
-    return _exact_sum(_log_sum_exp(*rows))
-
-
-def _map_labels(rows: tuple) -> np.ndarray:
-    """:func:`map_labels` from a log-weighted density pass."""
-    lw, top = rows
-    if not np.isfinite(top).all():
-        raise DegeneratePointError("observation has zero density under every component")
-    # label = number of leading components below the maximum: branch-free
-    # row passes, where argmax down the short component axis is a strided scan.
-    below = lw[0] != top
-    labels = below.astype(np.intp)
-    for z in range(1, lw.shape[0] - 1):
-        below &= lw[z] != top
-        labels += below
-    return labels
+    return _density_pass(data, theta, labels=True)[1]
 
 
 #: Extraction passes of :func:`_exact_sum` before ``math.fsum`` takes the rest.
@@ -133,7 +110,7 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     n = a.shape[0]
     if n < 2:
         raise InvalidInputError("need at least two observations")
-    table = _contingency(a, b)
+    cells, a_sizes, b_sizes = _contingency(a, b)
 
     # The int64 counts are at most n, so each choose2 and each of the three
     # pair sums stays below n^2 / 2, within int64 up to n = 3e9; the marginal
@@ -142,9 +119,9 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     def pairs(counts: np.ndarray) -> int:
         return int((counts * (counts - 1) // 2).sum())
 
-    pair_index = pairs(table)
-    row_pairs = pairs(table.sum(axis=1))
-    col_pairs = pairs(table.sum(axis=0))
+    pair_index = pairs(cells)
+    row_pairs = pairs(a_sizes)
+    col_pairs = pairs(b_sizes)
     total_pairs = n * (n - 1) // 2
     expected = row_pairs * col_pairs / total_pairs
     maximum = (row_pairs + col_pairs) / 2.0
@@ -153,25 +130,30 @@ def adjusted_rand_index(a: np.ndarray, b: np.ndarray) -> float:
     return (pair_index - expected) / (maximum - expected)
 
 
-def _contingency(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Integer contingency table of two equal-length label vectors.
+def _contingency(a: np.ndarray, b: np.ndarray) -> tuple:
+    """Contingency counts of two equal-length label vectors: ``(cells,
+    a_sizes, b_sizes)``, the counts of the table's cells, rows and columns.
 
     Non-negative integer labels whose table has at most n cells are counted
     by one ``np.bincount`` of the labels themselves; unused labels add empty
     rows and columns, which add 0 to every pair sum.  Other labels (negative,
-    bool, float, or a table larger than n) are first coded by ``np.unique``.
+    bool, float, or a table larger than n) are first coded by ``np.unique``,
+    and only the occupied cells are counted, so memory stays linear in n
+    whatever the number of distinct labels.
     """
     n = a.shape[0]
     if a.dtype.kind in "iu" and b.dtype.kind in "iu" and a.min() >= 0 and b.min() >= 0:
         ka, kb = int(a.max()) + 1, int(b.max()) + 1
         if ka * kb <= n:
             codes = a.astype(np.intp) * kb + b.astype(np.intp)
-            return np.bincount(codes, minlength=ka * kb).reshape(ka, kb)
+            table = np.bincount(codes, minlength=ka * kb).reshape(ka, kb)
+            return table.ravel(), table.sum(axis=1), table.sum(axis=0)
     _, a_codes = np.unique(a, return_inverse=True)
     _, b_codes = np.unique(b, return_inverse=True)
-    table = np.zeros((int(a_codes.max()) + 1, int(b_codes.max()) + 1), dtype=np.int64)
-    np.add.at(table, (a_codes, b_codes), 1)
-    return table
+    # Both codes are below n, so the cell code stays below n^2.
+    cell_codes = a_codes.astype(np.int64) * (int(b_codes.max()) + 1) + b_codes
+    _, cells = np.unique(cell_codes, return_counts=True)
+    return cells, np.bincount(a_codes), np.bincount(b_codes)
 
 
 def _component_blocks(theta: MixtureParams) -> np.ndarray:

@@ -1,6 +1,7 @@
 import gzip
 import io
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,68 @@ def test_kmeans_honors_init_labels_and_is_deterministic(rng):
     a, ca = kmeans(data, 3, epochs=10, init_labels=init)
     b, cb = kmeans(data, 3, epochs=10, init_labels=init)
     assert np.array_equal(a, b) and np.array_equal(ca, cb)
+
+
+def _full_array_kmeans(data, g, epochs, init_labels):
+    """Lloyd sweeps on whole-data arrays: (n, d) squared norms, one (n, g)
+    distance matrix per sweep and first-minimum labels, the same reseeding
+    and update rules as :func:`kmeans`."""
+    n = data.shape[0]
+    labels = init_labels.copy()
+    counts = np.bincount(labels, minlength=g)
+    centers = np.stack([data[labels == z].mean(axis=0) if counts[z] else data.mean(axis=0)
+                        for z in range(g)])
+    sq_norms = (data * data).sum(axis=1)
+    for _ in range(epochs):
+        dist = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
+        new_labels = np.argmin(dist, axis=1)
+        point_cost = dist[np.arange(n), new_labels]
+        for z in np.flatnonzero(np.bincount(new_labels, minlength=g) == 0):
+            far = int(np.argmax(point_cost))
+            centers[z] = data[far]
+            new_labels[far] = z
+            point_cost[far] = 0.0
+        for z in range(g):
+            if np.any(new_labels == z):
+                centers[z] = data[new_labels == z].mean(axis=0)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+    return new_labels, centers
+
+
+@pytest.mark.parametrize("d, g", [(1, 2), (4, 3), (50, 10)])
+def test_kmeans_equals_full_array_reference(d, g):
+    # row counts on both sides of a row block, and past two blocks
+    block = max(1, 2**17 // d)
+    for n in (g + 1, block - 1, block + 1, 2 * block + 3):
+        rng = np.random.default_rng(n + d)
+        data, _ = sample(make_gaussian_mixture(rng, d, g), n, rng)
+        init = rng.integers(0, g, n)
+        got = kmeans(data, g, 6, init_labels=init)
+        ref = _full_array_kmeans(data, g, 6, init)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_kmeans_builds_no_data_sized_temporary():
+    # d = 50, four equal, well separated clouds: a sweep holds the (n, g)
+    # distances (g / d = 8% of the data), one cloud's rows (25%) and 1 MiB
+    # row blocks; an (n, d) temporary alone would be 100%
+    d, g, n = 50, 4, 20_000
+    theta = MixtureParams(
+        np.full(g, 0.25), tuple(Gaussian(np.full(d, 10.0 * z), np.eye(d)) for z in range(g))
+    )
+    data, labels = sample(theta, n, np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    init = np.where(rng.random(n) < 0.1, rng.integers(0, g, n), labels)
+    bound = 0.5 * data.nbytes  # fixed before measuring
+    tracemalloc.start()
+    try:
+        kmeans(data, g, epochs=2, init_labels=init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_kmeans_validation():

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,36 @@ def test_evaluate_zero_density_row():
     assert report.loglik == -math.inf == dataset_loglik(data, theta)
     assert report.se == 0.0
     assert math.isnan(report.ari)
+
+
+def test_serial_grid_releases_its_data(tmp_path):
+    # d = 20: sampling sets the grid's peak, so data a finished grid kept
+    # would sit beside the next grid's sample and raise its peak by the data
+    import mbem.experiment
+
+    d, n = 20, 20_000
+    theta = MixtureParams(
+        [0.5, 0.5], (Gaussian(np.zeros(d), np.eye(d)), Gaussian(np.full(d, 4.0), 2.0 * np.eye(d)))
+    )
+    path = tmp_path / "theta.json"
+    path.write_text(json.dumps(params_to_dict(theta)))
+    spec = ExperimentSpec(
+        source=ThetaSource(str(path), n), g=2, variants=(VariantSpec("em"),),
+        repetitions=1, master_seed=2, epochs=1,
+    )
+    # slack for caches the first grid fills after its peak (a few kB)
+    slack = 0.01 * n * d * 8
+    peaks = []
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            run_experiment(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            assert mbem.experiment._CTX is None
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + slack
 
 
 def test_shared_initialization_across_variants():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from scipy.special import gammaln
 from mbem.errors import (
     DegenerateComponentError,
     DegenerateCovarianceError,
+    DegeneratePointError,
     EmptyComponentError,
     InvalidInputError,
 )
@@ -31,7 +33,15 @@ from mbem.families import (
     theta_bar,
     unpack_symmetric,
 )
-from mbem.families import _blend, _block_rows, _estep, _log_weighted, _stack
+from mbem.families import (
+    _blend,
+    _block_rows,
+    _density_pass,
+    _estep,
+    _log_sum_exp,
+    _log_weighted,
+    _stack,
+)
 
 from conftest import make_gaussian_mixture
 
@@ -484,6 +494,66 @@ def test_stacked_kernels_equal_per_component_reference(family, seed, n):
         assert np.array_equal(t.covariances(), covs)
 
 
+def _full_matrix_evaluation(y, theta):
+    """Log densities and MAP labels from the whole (g, n) log-weighted
+    matrix: its column log-sum-exp and its first column maximum."""
+    lw = _log_weighted(y, _stack(theta))
+    return _log_sum_exp(lw, lw.max(axis=0)), np.argmax(lw, axis=0)
+
+
+def _assert_pass_equals_full_matrix(y, theta):
+    dens, labels = _density_pass(y, theta, labels=True)
+    ref_dens, ref_labels = _full_matrix_evaluation(y, theta)
+    assert np.array_equal(dens, ref_dens)
+    assert labels.dtype == np.intp and np.array_equal(labels, ref_labels)
+    alone, none = _density_pass(y, theta)
+    assert np.array_equal(alone, ref_dens) and none is None
+
+
+@pytest.mark.parametrize("d, g", [(1, 3), (4, 3), (3, 10), (50, 10)])
+def test_density_pass_equals_full_matrix(d, g):
+    # g = 10 >= 8: NumPy sums a lone column pairwise, the columns of a wider
+    # matrix one component at a time; k b + 1 rows leave a one-row last block.
+    # Overlapping components give each row comparable terms, whose sum
+    # depends on the order.
+    rng = np.random.default_rng(d * 100 + g)
+    theta = MixtureParams(
+        rng.dirichlet(np.full(g, 5.0)),
+        tuple(Gaussian(rng.normal(0.0, 0.3, d), np.eye(d) * rng.uniform(0.8, 1.2)) for _ in range(g)),
+    )
+    b = _block_rows(g, d)
+    for n in (1, 2, b - 1, b, b + 1, 2 * b + 1, 2 * b + 3, 3 * b + 1, 4 * b + 1):
+        y, _ = sample(theta, n, rng)
+        _assert_pass_equals_full_matrix(y, theta)
+
+
+@pytest.mark.parametrize("family", ["exponential", "poisson"])
+def test_density_pass_equals_full_matrix_rate_family(family):
+    rng = np.random.default_rng(12)
+    cls = Exponential if family == "exponential" else Poisson
+    g = 9
+    theta = MixtureParams(np.full(g, 1.0 / g), tuple(cls(float(r)) for r in rng.uniform(0.2, 6.0, g)))
+    b = _block_rows(g, 1)
+    for n in (1, 2, b - 1, b, b + 1, 2 * b + 3):
+        y, _ = sample(theta, n, rng)
+        _assert_pass_equals_full_matrix(y, theta)
+
+
+def test_density_pass_zero_density_row():
+    # a negative value has zero density under every exponential component,
+    # in the last block, at a row past two full blocks
+    theta = MixtureParams([0.25] * 4, tuple(Exponential(r) for r in (0.5, 1.0, 2.0, 4.0)))
+    b = _block_rows(4, 1)
+    y, _ = sample(theta, 2 * b + 3, np.random.default_rng(13))
+    y[2 * b + 1] = -1.0
+    dens, labels = _density_pass(y, theta)
+    assert labels is None
+    assert np.array_equal(dens, _full_matrix_evaluation(y, theta)[0])
+    assert np.isneginf(dens[2 * b + 1]) and np.isfinite(np.delete(dens, 2 * b + 1)).all()
+    with pytest.raises(DegeneratePointError):
+        _density_pass(y, theta, labels=True)
+
+
 def _ill_conditioned_mixture(rng, d, g, smallest):
     """Gaussian mixture whose covariances span eigenvalues [smallest, 10]."""
     comps = []
@@ -662,6 +732,46 @@ def test_sample_count_families():
     data, _ = sample(pois, 50_000, np.random.default_rng(5))
     assert data.mean() == pytest.approx(3.0, abs=0.05)
     assert np.array_equal(data, np.round(data))
+
+
+def _two_array_sample(theta, n, rng):
+    """Gaussian draws with the noise and the output in separate arrays."""
+    labels = rng.choice(theta.g, size=n, p=theta.weights)
+    noise = rng.standard_normal((n, theta.dim))
+    out = np.empty((n, theta.dim))
+    for z, comp in enumerate(theta.components):
+        idx = labels == z
+        out[idx] = comp.mean + noise[idx] @ np.linalg.cholesky(comp.cov).T
+    return out, labels
+
+
+@pytest.mark.parametrize("d", [1, 4, 50])
+def test_sample_in_place_equals_two_array_reference(d):
+    for seed in range(4):
+        theta = make_gaussian_mixture(np.random.default_rng(seed), d, 3)
+        for n in (2, 1001):  # two rows leave a component empty
+            got = sample(theta, n, np.random.default_rng(100 + seed))
+            ref = _two_array_sample(theta, n, np.random.default_rng(100 + seed))
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_sample_holds_the_data_and_one_component():
+    # d = 50, four equal components: besides the data, the peak holds one
+    # component's gathered rows and their product by L^T, a quarter of the
+    # data each, and the labels; a separate noise array would add the data
+    d, g, n = 50, 4, 20_000
+    theta = MixtureParams(
+        np.full(g, 0.25), tuple(Gaussian(np.full(d, 3.0 * z), np.eye(d)) for z in range(g))
+    )
+    bound = 1.65 * n * d * 8  # fixed before measuring
+    tracemalloc.start()
+    try:
+        data, _ = sample(theta, n, np.random.default_rng(14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (n, d)
+    assert peak < bound
 
 
 def test_sample_requires_positive_n():

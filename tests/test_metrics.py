@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations, permutations
 
 import numpy as np
@@ -177,6 +178,24 @@ def test_map_labels_recovers_well_separated_sample(rng):
     assert adjusted_rand_index(fitted, labels) == 1.0
 
 
+def test_evaluation_holds_no_component_by_row_matrix():
+    # d = 4, g = 10: the (g, n) log-weighted matrix alone is 2.5 times the
+    # data; the blocked pass holds the (n,) results and (g, b) blocks
+    d, g, n = 4, 10, 200_000
+    rng = np.random.default_rng(15)
+    theta = MixtureParams(np.full(g, 1.0 / g), tuple(Gaussian(rng.normal(0, 3, d), np.eye(d)) for _ in range(g)))
+    data, _ = sample(theta, n, rng)
+    bound = 1.25 * data.nbytes  # half the (g, n) matrix, fixed before measuring
+    for evaluate in (dataset_loglik, map_labels):
+        tracemalloc.start()
+        try:
+            evaluate(data, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, evaluate.__name__
+
+
 # ---------------------------------------------------------------------------
 # adjusted_rand_index
 # ---------------------------------------------------------------------------
@@ -254,6 +273,32 @@ def _ari_by_unique(a, b):
                                np.unique(b, return_inverse=True)[1].astype(float))
 
 
+def _ari_dense_table(a, b):
+    """The index from the dense (distinct a) x (distinct b) table, the
+    unique-path arithmetic before only occupied cells were counted."""
+    _, a_codes = np.unique(a, return_inverse=True)
+    _, b_codes = np.unique(b, return_inverse=True)
+    table = np.zeros((a_codes.max() + 1, b_codes.max() + 1), dtype=np.int64)
+    np.add.at(table, (a_codes, b_codes), 1)
+
+    def pairs(counts):
+        return int((counts * (counts - 1) // 2).sum())
+
+    n = len(a)
+    row_pairs, col_pairs = pairs(table.sum(axis=1)), pairs(table.sum(axis=0))
+    expected = row_pairs * col_pairs / (n * (n - 1) // 2)
+    maximum = (row_pairs + col_pairs) / 2.0
+    if maximum == expected:
+        return 1.0
+    return (pairs(table) - expected) / (maximum - expected)
+
+
+def _margins(a, b):
+    """Row and column counts of the contingency table ``_contingency`` built."""
+    _, a_sizes, b_sizes = _contingency(a, b)
+    return a_sizes.size, b_sizes.size
+
+
 def test_ari_bincount_path_equals_unique_path():
     rng = np.random.default_rng(3)
     n = 5000
@@ -265,9 +310,8 @@ def test_ari_bincount_path_equals_unique_path():
         "uint8": (truth.astype(np.uint8), (noisy * 60).astype(np.uint8)),
     }
     for a, b in cases.values():
-        table = _contingency(a, b)
-        assert table.shape == (int(a.max()) + 1, int(b.max()) + 1)  # bincount path
-        assert adjusted_rand_index(a, b) == _ari_by_unique(a, b)
+        assert _margins(a, b) == (int(a.max()) + 1, int(b.max()) + 1)  # bincount path
+        assert adjusted_rand_index(a, b) == _ari_by_unique(a, b) == _ari_dense_table(a, b)
     value = adjusted_rand_index(truth, noisy)
     fallbacks = {
         "negative": (truth - 2, noisy),
@@ -275,9 +319,39 @@ def test_ari_bincount_path_equals_unique_path():
         "float": (truth.astype(float), noisy.astype(float)),
     }
     for name, (a, b) in fallbacks.items():
-        assert _contingency(a, b).shape == (np.unique(a).size, np.unique(b).size)
+        assert _margins(a, b) == (np.unique(a).size, np.unique(b).size)
         expected = value if name != "bool" else _ari_by_unique(a, b)
-        assert adjusted_rand_index(a, b) == expected
+        assert adjusted_rand_index(a, b) == expected == _ari_dense_table(a, b)
+
+
+def test_ari_unique_path_counts_only_occupied_cells():
+    # empty cells add 0 to every pair sum, so counting the occupied ones
+    # leaves the index unchanged
+    rng = np.random.default_rng(5)
+    for k in (2, 7, 40, 300):
+        a = rng.integers(0, k, 600) * 0.5 - 3.0
+        b = np.where(rng.random(600) < 0.5, a, rng.integers(0, k, 600) * 1.5)
+        cells, a_sizes, b_sizes = _contingency(a, b)
+        assert cells.min() > 0 and cells.sum() == a_sizes.sum() == b_sizes.sum() == 600
+        assert adjusted_rand_index(a, b) == _ari_dense_table(a, b)
+
+
+def test_ari_many_distinct_labels_memory_linear_in_n():
+    # 3000 distinct float labels on each side: a dense table would hold
+    # 3000 x 3000 int64 (72 MB); the occupied cells number at most n
+    rng = np.random.default_rng(6)
+    n = 3000
+    a = rng.permutation(n).astype(float)
+    b = np.where(rng.random(n) < 0.5, a, rng.permutation(n)).astype(float)
+    bound = 50 * a.nbytes  # 1.2 MB, fixed before measuring
+    tracemalloc.start()
+    try:
+        value = adjusted_rand_index(a, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+    assert value == _ari_dense_table(a, b)
 
 
 def test_ari_huge_label_takes_unique_path():
@@ -286,10 +360,10 @@ def test_ari_huge_label_takes_unique_path():
     rng = np.random.default_rng(4)
     a = rng.integers(0, 3, 1000)
     big = np.array([0, 7, 2**62])[a]
-    assert _contingency(big, a).shape == (3, 3)
+    assert _margins(big, a) == (3, 3)
     assert adjusted_rand_index(big, a) == 1.0
     b = rng.integers(0, 3, 1000)
-    assert _contingency(big.astype(np.uint64), b).shape == (3, 3)
+    assert _margins(big.astype(np.uint64), b) == (3, 3)
     assert adjusted_rand_index(big.astype(np.uint64), b) == adjusted_rand_index(a, b)
 
 
