@@ -17,8 +17,9 @@ and ``kmeans``; ``all`` is the nine-variant grid of ``em`` and the four
 ``mb`` names, and each ``mb`` name runs once per batch fraction
 (``--batch-frac``, repeatable, in (0, 1]).  Every option resolves the same
 way: the flag if given, else the JSON config file (``--config``), else the
-subcommand's default, else ``_DEFAULTS``.  A value the grid rejects is a
-usage error with exit status 2.
+subcommand's default, else ``_DEFAULTS``; the flags' parser reads the
+config file too.  A value the parser or the grid rejects, including an
+unknown or unreadable config file, is a usage error with exit status 2.
 
 Outputs: results.csv, summary.csv, summary.json, boxplot_<metric>.csv for
 loglik, loglik_per_obs, se and ari, and meta.json in the output directory.
@@ -80,60 +81,63 @@ _COMMAND_DEFAULTS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, help="JSON config file; flags override its values")
-    p.add_argument("--seed", type=int, help="master seed")
-    p.add_argument("--epochs", type=int, help="epoch budget per run")
-    p.add_argument("--batch-frac", type=float, action="append", dest="batch_frac",
-                   help="mini-batch fraction of n; repeatable")
-    p.add_argument("--variant", action="append", choices=VARIANT_CHOICES,
-                   help="variant to run; repeatable")
-    p.add_argument("--out-dir", type=Path, help="output directory")
-    p.add_argument("--reps", type=int, help="repetitions per variant")
-    p.add_argument("--g", type=int, help="number of mixture components")
-    p.add_argument("--gamma0", type=float, help="learning-rate scale in (0,1)")
-    p.add_argument("--alpha", type=float, help="learning-rate decay in (1/2,1]")
-    p.add_argument("--c1", type=float, help="truncation weight constant")
-    p.add_argument("--c2", type=float, help="truncation mean constant")
-    p.add_argument("--c3", type=float, help="truncation eigenvalue constant")
-    p.add_argument("--workers", type=int, help="parallel workers over repetitions")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mbem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
     sim = sub.add_parser("simulate", help="template synthesis + variant grid")
-    sim.add_argument("--template", type=Path, help="labeled CSV to fit the template from")
-    sim.add_argument("--theta", type=Path, help="JSON parameter file to sample from")
-    sim.add_argument("--n", type=int, help="synthetic sample size")
-    _add_common(sim)
-
     mni = sub.add_parser("mnist", help="IDX -> PCA -> grid with k-means baseline")
+    ben = sub.add_parser("bench", help="single run, metrics printed as JSON")
+    for p in (sim, ben):
+        p.add_argument("--template", type=Path, help="labeled CSV to fit the template from")
+        p.add_argument("--theta", type=Path, help="JSON parameter file to sample from")
+        p.add_argument("--n", type=int, help="synthetic sample size")
     mni.add_argument("--images", type=Path, action="append",
                      help="IDX image file; repeatable (sets are concatenated)")
     mni.add_argument("--labels", type=Path, action="append",
                      help="IDX label file matching --images order")
     mni.add_argument("--d-pc", type=int, dest="d_pc", help="principal components to keep")
-    _add_common(mni)
-
-    ben = sub.add_parser("bench", help="single run, metrics printed as JSON")
-    ben.add_argument("--template", type=Path)
-    ben.add_argument("--theta", type=Path)
-    ben.add_argument("--n", type=int)
-    _add_common(ben)
+    for p in (sim, mni, ben):
+        p.add_argument("--config", type=Path, help="JSON config file; flags override its values")
+        p.add_argument("--seed", type=int, help="master seed")
+        p.add_argument("--epochs", type=int, help="epoch budget per run")
+        p.add_argument("--batch-frac", type=float, action="append", dest="batch_frac",
+                       help="mini-batch fraction of n; repeatable")
+        p.add_argument("--variant", action="append", choices=VARIANT_CHOICES,
+                       help="variant to run; repeatable")
+        p.add_argument("--out-dir", type=Path, help="output directory")
+        p.add_argument("--reps", type=int, help="repetitions per variant")
+        p.add_argument("--g", type=int, help="number of mixture components")
+        p.add_argument("--gamma0", type=float, help="learning-rate scale in (0,1)")
+        p.add_argument("--alpha", type=float, help="learning-rate decay in (1/2,1]")
+        p.add_argument("--c1", type=float, help="truncation weight constant")
+        p.add_argument("--c2", type=float, help="truncation mean constant")
+        p.add_argument("--c3", type=float, help="truncation eigenvalue constant")
+        p.add_argument("--workers", type=int, help="parallel workers over repetitions")
     return parser
 
 
-def _resolve_options(args: argparse.Namespace) -> dict:
+def _resolve_options(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """Each option: the flag, else the config file, else the default.  The
+    flags' parser reads the config file: a key names a flag, a list repeats it."""
     config = {}
     if args.config:
-        with open(args.config) as f:
-            config = json.load(f)
+        try:
+            with open(args.config) as f:
+                items = json.load(f).items()
+        except (OSError, ValueError, AttributeError) as exc:
+            parser.error(f"--config {args.config}: {exc}")
+        tokens = []
+        for key, value in items:
+            if key not in _DEFAULTS:
+                parser.error(f"unknown config key {key!r}")
+            for item in value if isinstance(value, list) else [value]:
+                tokens += ["--" + key.replace("_", "-"), str(item)]
+        config = vars(parser.parse_args([args.command, *tokens]))
     opts = {}
     for key, default in {**_DEFAULTS, **_COMMAND_DEFAULTS.get(args.command, {})}.items():
         value = getattr(args, key, None)
-        opts[key] = config.get(key, default) if value is None else value
+        value = config.get(key) if value is None else value
+        opts[key] = default if value is None else value
     return opts
 
 
@@ -155,7 +159,7 @@ def _expand_variants(names, fractions) -> tuple:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    opts = _resolve_options(args)
+    opts = _resolve_options(parser, args)
     bench = args.command == "bench"
     if not (bench or opts["out_dir"]):
         parser.error("--out-dir is required")
@@ -164,24 +168,24 @@ def main(argv=None) -> int:
             source = IdxSource(
                 images=tuple(str(p) for p in opts["images"] or ()),
                 labels=tuple(str(p) for p in opts["labels"] or ()),
-                d_pc=int(opts["d_pc"]),
+                d_pc=opts["d_pc"],
             )
+        elif bool(opts["template"]) == bool(opts["theta"]):
+            parser.error("give exactly one of --template or --theta")
         elif opts["template"]:
-            source = TemplateSource(str(opts["template"]), int(opts["n"]))
-        elif opts["theta"]:
-            source = ThetaSource(str(opts["theta"]), int(opts["n"]))
+            source = TemplateSource(str(opts["template"]), opts["n"])
         else:
-            parser.error("one of --template or --theta is required")
+            source = ThetaSource(str(opts["theta"]), opts["n"])
         spec = ExperimentSpec(
             source=source,
-            g=source.theta.g if opts["g"] is None else int(opts["g"]),
+            g=source.theta.g if opts["g"] is None else opts["g"],
             variants=_expand_variants(opts["variant"], opts["batch_frac"]),
-            repetitions=int(opts["reps"]),
-            master_seed=int(opts["seed"]),
-            epochs=int(opts["epochs"]),
-            learning_rate=LearningRate(float(opts["gamma0"]), float(opts["alpha"])),
-            truncation=TruncationRegion(float(opts["c1"]), float(opts["c2"]), float(opts["c3"])),
-            workers=int(opts["workers"]),
+            repetitions=opts["reps"],
+            master_seed=opts["seed"],
+            epochs=opts["epochs"],
+            learning_rate=LearningRate(opts["gamma0"], opts["alpha"]),
+            truncation=TruncationRegion(opts["c1"], opts["c2"], opts["c3"]),
+            workers=opts["workers"],
         )
         if bench and len(spec.variants) * spec.repetitions != 1:
             parser.error("bench runs one cell: one variant, one batch fraction and one repetition")

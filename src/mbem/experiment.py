@@ -180,6 +180,9 @@ class ExperimentSpec:
             raise InvalidInputError("repetitions must be >= 1")
         if not self.variants:
             raise InvalidInputError("variant list is empty")
+        vids = [v.vid for v in self.variants]
+        if len(set(vids)) < len(vids):
+            raise InvalidInputError(f"two variants share the id {max(vids, key=vids.count)!r}")
         if self.workers < 1:
             raise InvalidInputError(f"workers must be >= 1, got {self.workers}")
 

@@ -35,23 +35,22 @@ factorisation per component that the next E-step reuses.  ``_stats``
 inverts ``_mstep`` on a stack, behind :func:`stats_from_params`, and
 ``_blend`` is the one stochastic-approximation blend of two block triples.
 
-The E-step and the evaluation pass (``_density_pass``: per-row log
-densities and MAP labels) work component-major on blocks of rows.  Each
-block is transposed once to (d, b); each Gaussian
-component whitens the centred block y - mu_z with one GEMM by its inverse
-Cholesky factor L_z^-1 (never L^-1 y - L^-1 mu, which cancels when |mu| is
-much larger than the spread), and the log-weighted matrix, responsibilities,
-mass, first moment and scatter come from contiguous (g, b) rows, summed over
-blocks.  L^-1 is computed once per pass.  A block has
-``_BLOCK_ELEMENTS // (g d)`` rows (:func:`_block_rows`), so its largest
-temporary, the (g, d, b) scatter product, holds at most ``_BLOCK_ELEMENTS``
-float64 (1 MiB) whatever the shape: a fixed row count either wastes passes
-at small g d or builds a scatter product of many megabytes at large g d.
-A single Gaussian observation has its own kernel (``_row_log_weighted``,
-``_row_estep``), with no blocks, transposes or division by n.  It keeps the
-triangular solve: batch-size-1 truncated runs are chaotic, so a last-bit
-change in one step moves their whole trajectory, and they stay bit-identical
-to the solve-based arithmetic.
+Every row pass walks its rows through one generator, ``_weighted_blocks``.
+A block has ``_BLOCK_ELEMENTS // (g d)`` rows (:func:`_block_rows`), so its
+largest temporary, the (g, d, b) scatter product, holds at most
+``_BLOCK_ELEMENTS`` float64 (1 MiB) whatever the shape.  Each block is
+transposed once to (d, b); each Gaussian component whitens the centred
+block y - mu_z with one GEMM by its inverse Cholesky factor, computed once
+per pass (never L^-1 y - L^-1 mu, which cancels when |mu| is much larger
+than the spread).  The transposed block and the (g, b) log-weighted block
+live in two buffers that every block of the pass reuses: the E-step
+(``_estep``) turns the latter into responsibilities in place, the
+evaluation pass (``_density_pass``) keeps per-row log densities and MAP
+labels, and ``_log_weighted`` collects the (g, n) matrix.  A single Gaussian observation has its own kernel
+(``_row_log_weighted``, ``_row_estep``), with no blocks, transposes or
+division by n.  It keeps the triangular solve: batch-size-1 truncated runs
+are chaotic, so a last-bit change in one step moves their whole trajectory,
+and they stay bit-identical to the solve-based arithmetic.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ _SYM_TOL = 1e-12
 #: for float64 input, called directly to skip that wrapper's per-call checks.
 _TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
 
-#: LAPACK triangular inverse, behind :func:`_inverse_factors`.
+#: LAPACK triangular inverse, behind the L^-1 of :func:`_weighted_blocks`.
 _TRTRI = get_lapack_funcs("trtri", (np.empty((1, 1)),))
 
 #: Elements of the largest temporary of an E-step or evaluation block, the
@@ -410,20 +409,6 @@ def _as_data_matrix(y: np.ndarray, dim: int) -> np.ndarray:
     return arr
 
 
-def _inverse_factors(p: _Stacked) -> np.ndarray | None:
-    """Inverse Cholesky factors L^-1 (g, d, d) of a Gaussian stack, for a
-    blocked pass; None for rate families."""
-    if p.family != "gaussian":
-        return None
-    inv = np.empty_like(p.chols)
-    for z, chol in enumerate(p.chols):
-        # trtri of the upper factor L^T in Fortran order returns (L^-1)^T in
-        # Fortran order, whose transpose is L^-1 in C order.
-        inv_t, _ = _TRTRI(chol.T, lower=0)
-        inv[z] = inv_t.T
-    return inv
-
-
 def _rate_log_density(p: _Stacked, z: int, x: np.ndarray) -> np.ndarray:
     """Log density of rate component ``z`` of a stack at the values ``x``."""
     rate = float(p.rates[z])
@@ -438,35 +423,6 @@ def _rate_log_density(p: _Stacked, z: int, x: np.ndarray) -> np.ndarray:
 def _block_rows(g: int, d: int) -> int:
     """Rows per block of a pass with ``g`` components in ``d`` dimensions."""
     return max(1, _BLOCK_ELEMENTS // (g * d))
-
-
-def _blocks(y: np.ndarray, g: int):
-    """``(start, yt)`` per block of :func:`_block_rows` rows of ``y``, with
-    ``yt`` the block transposed once to a C-ordered (d, b) matrix."""
-    rows = _block_rows(g, y.shape[1])
-    for start in range(0, y.shape[0], rows):
-        yield start, np.ascontiguousarray(y[start : start + rows].T)
-
-
-def _block_log_weighted(yt: np.ndarray, p: _Stacked, inv: np.ndarray | None, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (g, b) with log pi_z + log f(y_i; omega_z) over the
-    columns of ``yt``, a (d, b) transposed block; returns ``out``.
-
-    ``inv`` is :func:`_inverse_factors` of the same pass."""
-    if p.family != "gaussian":
-        for z in range(out.shape[0]):
-            np.add(p.log_weights[z], _rate_log_density(p, z, yt[0]), out=out[z])
-        return out
-    for z in range(out.shape[0]):
-        # Centre before whitening: L^-1 y - L^-1 mu cancels when |mu| >> spread.
-        x = inv[z] @ (yt - p.means[z][:, None])
-        np.einsum("dn,dn->n", x, x, out=out[z])
-    # log pi_z + -0.5 * (log_norm_z + quad), one operation at a time over all
-    # components: the same rounding as the per-component expression.
-    out += p.log_norms[:, None]
-    out *= -0.5
-    out += p.log_weights[:, None]
-    return out
 
 
 def _row_log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
@@ -491,18 +447,61 @@ def _row_log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
     return out
 
 
+def _weighted_blocks(y: np.ndarray, p: _Stacked):
+    """``(start, yt, lw)`` per block of :func:`_block_rows` rows of validated
+    ``y`` at a factored stack: ``yt`` is the block transposed to a C-ordered
+    (d, b) matrix, and the first b columns of ``lw`` hold
+    log pi_z + log f(y_i; omega_z).  Both are views of buffers that every
+    block of the pass reuses, so a block is gone once the next is drawn.
+
+    ``lw`` has two columns or more unless n = 1, so a one-row last block
+    carries a stale second column: NumPy sums a lone (g, 1) column pairwise
+    from g = 8 on, but the columns of a wider matrix one component at a
+    time, as it sums those of the full (g, n) matrix.
+    """
+    n, d = y.shape
+    g = p.weights.shape[0]
+    rows = _block_rows(g, d)
+    gaussian = p.family == "gaussian"
+    if gaussian and n > 1:
+        # trtri of the upper factor L^T in Fortran order returns (L^-1)^T in
+        # Fortran order, whose transpose is L^-1.
+        inv = np.stack([_TRTRI(chol.T, lower=0)[0].T for chol in p.chols])
+    buf = np.zeros((g, min(n, max(2, rows))))
+    flat = np.empty(d * min(n, rows))
+    for start in range(0, n, rows):
+        b = min(rows, n - start)
+        # A C-ordered (d, b) matrix at the buffer start, laid out as a fresh array is
+        yt = flat[: d * b].reshape(d, b)
+        yt[:] = y[start : start + b].T
+        lw = buf[:, :b]
+        if not gaussian:
+            for z in range(g):
+                np.add(p.log_weights[z], _rate_log_density(p, z, yt[0]), out=lw[z])
+        elif n == 1:
+            lw[:, 0] = _row_log_weighted(y[0], p)
+        else:
+            for z in range(g):
+                # Centre before whitening: L^-1 y - L^-1 mu cancels when |mu| >> spread.
+                x = inv[z] @ (yt - p.means[z][:, None])
+                np.einsum("dn,dn->n", x, x, out=lw[z])
+            del x  # not held while the caller works on the block
+            # log pi_z + -0.5 * (log_norm_z + quad), one operation at a time over
+            # all components: the same rounding as the per-component expression.
+            lw += p.log_norms[:, None]
+            lw *= -0.5
+            lw += p.log_weights[:, None]
+        yield start, yt, buf[:, : max(2, b)]
+
+
 def _log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
     """(g, n) matrix of log pi_z + log f(y_i; omega_z) over validated rows
-    ``y`` at a factored stack, computed block by block (one Gaussian row by
-    :func:`_row_log_weighted`)."""
-    if p.family == "gaussian" and y.shape[0] == 1:
-        return _row_log_weighted(y[0], p)[:, None]
-    g = p.weights.shape[0]
-    lw = np.empty((g, y.shape[0]))
-    inv = _inverse_factors(p)
-    for start, yt in _blocks(y, g):
-        _block_log_weighted(yt, p, inv, lw[:, start : start + yt.shape[1]])
-    return lw
+    ``y`` at a factored stack."""
+    out = np.empty((p.weights.shape[0], y.shape[0]))
+    for start, yt, lw in _weighted_blocks(y, p):
+        b = yt.shape[1]
+        out[:, start : start + b] = lw[:, :b]
+    return out
 
 
 def _log_sum_exp(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
@@ -516,18 +515,17 @@ def _log_sum_exp(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
     return out
 
 
-def _normalise(lw: np.ndarray, top: np.ndarray) -> np.ndarray:
-    """Columns of ``exp(lw)`` (g, n) scaled to sum to one, given the column
-    maximum ``top``.
-
-    Raises :class:`DegeneratePointError` if some observation has zero density
-    under every component.
-    """
+def _normalise(lw: np.ndarray) -> np.ndarray:
+    """Columns of exp(lw) (g, n) scaled to sum to one, in place in ``lw``;
+    raises :class:`DegeneratePointError` if some observation has zero
+    density under every component."""
+    top = lw.max(axis=0)
     if not np.isfinite(top).all():
         raise DegeneratePointError("observation has zero density under every component")
-    tau = np.exp(lw - top)
-    tau /= tau.sum(axis=0)
-    return tau
+    lw -= top
+    np.exp(lw, out=lw)
+    lw /= lw.sum(axis=0)
+    return lw
 
 
 def _density_pass(y: np.ndarray, theta: MixtureParams, labels: bool = False) -> tuple:
@@ -535,32 +533,17 @@ def _density_pass(y: np.ndarray, theta: MixtureParams, labels: bool = False) -> 
     densities (n,) and, with ``labels``, its MAP component labels (n,), else
     None.
 
-    Works through the blocks of :func:`_log_weighted` (one Gaussian row by
-    :func:`_row_log_weighted`) and holds one (g, b) log-weighted block at a
+    Holds one (g, b) log-weighted block of :func:`_weighted_blocks` at a
     time, never the (g, n) matrix.  The results equal :func:`_log_sum_exp`
     of the full matrix and its first column maximum bit for bit.  A row of
     zero density under every component has log density -inf; with
     ``labels`` it raises :class:`DegeneratePointError`.
     """
     y = _as_data_matrix(y, theta.dim)
-    p = _stack(theta)
-    n, g = y.shape[0], theta.g
-    one_row = p.family == "gaussian" and n == 1
-    inv = None if one_row else _inverse_factors(p)
-    dens = np.empty(n)
-    found = np.empty(n, dtype=np.intp) if labels else None
-    # NumPy sums the columns of a (g, w >= 2) matrix one component row at a
-    # time, as it does those of the full (g, n) matrix, but a lone column as
-    # one vector, pairwise from g = 8 on.  So each block's log-sum-exp runs
-    # over the whole buffer, two columns or more unless n = 1, and a short
-    # last block keeps only its own columns.
-    lw = np.zeros((g, min(n, max(2, _block_rows(g, y.shape[1])))))
-    for start, yt in _blocks(y, g):
+    dens = np.empty(y.shape[0])
+    found = np.empty(y.shape[0], dtype=np.intp) if labels else None
+    for start, yt, lw in _weighted_blocks(y, _stack(theta)):
         b = yt.shape[1]
-        if one_row:
-            lw[:, 0] = _row_log_weighted(y[0], p)
-        else:
-            _block_log_weighted(yt, p, inv, lw[:, :b])
         top = lw.max(axis=0)
         dens[start : start + b] = _log_sum_exp(lw, top)[:b]
         if found is None:
@@ -573,7 +556,7 @@ def _density_pass(y: np.ndarray, theta: MixtureParams, labels: bool = False) -> 
         below = block[0] != top
         out = found[start : start + b]
         out[:] = below
-        for z in range(1, g - 1):
+        for z in range(1, theta.g - 1):
             below &= block[z] != top
             out += below
     return dens, found
@@ -599,8 +582,7 @@ def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     Raises :class:`DegeneratePointError` if some observation has zero density
     under every component.
     """
-    lw = _log_weighted(_as_data_matrix(y, theta.dim), _stack(theta))
-    return _normalise(lw, lw.max(axis=0)).T
+    return _normalise(_log_weighted(_as_data_matrix(y, theta.dim), _stack(theta))).T
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +593,10 @@ def _estep(y: np.ndarray, p: _Stacked) -> tuple:
     """E-step kernel: ``(mass, moment1, moment2)`` averaged over validated
     rows ``y`` at a factored stack (``moment2`` is None for rate families).
 
-    Works block by block on (g, b) responsibilities; the first block's sums
-    start the totals, so a single block allocates no accumulators.  One
-    Gaussian observation goes through :func:`_row_estep`.
+    Turns each block of :func:`_weighted_blocks` into responsibilities in
+    place; the first block's sums start the totals, so a single block
+    allocates no accumulators.  One Gaussian observation goes through
+    :func:`_row_estep`.
     """
     n, d = y.shape
     if n < 1:
@@ -621,12 +604,9 @@ def _estep(y: np.ndarray, p: _Stacked) -> tuple:
     gaussian = p.family == "gaussian"
     if gaussian and n == 1:
         return _row_estep(y[0], p)
-    g = p.weights.shape[0]
-    inv = _inverse_factors(p)
     total = None
-    for _, yt in _blocks(y, g):
-        lw = _block_log_weighted(yt, p, inv, np.empty((g, yt.shape[1])))
-        tau = _normalise(lw, lw.max(axis=0))
+    for _, yt, lw in _weighted_blocks(y, p):
+        tau = _normalise(lw[:, : yt.shape[1]])
         part = [tau.sum(axis=1), tau @ yt.T]
         if gaussian:
             # (tau_z y) y^T for every component in one batched matmul; the

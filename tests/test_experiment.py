@@ -476,6 +476,7 @@ def test_cli_simulate_requires_out_dir():
 @pytest.mark.parametrize("bad", [
     ["--batch-frac", "-0.5"], ["--g", "0"], ["--gamma0", "1.5"], ["--c1", "0.5"],
     ["--epochs", "0"], ["--n", "2"], ["--workers", "0"],
+    ["--theta", "theta.json"],  # a second data source is refused, not ignored
 ], ids=lambda bad: bad[0])
 def test_cli_rejected_value_is_a_usage_error(tmp_path, capsys, bad):
     # a value the spec or the grid rejects exits like argparse's own bad
@@ -489,6 +490,54 @@ def test_cli_rejected_value_is_a_usage_error(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("usage: mbem") and "error:" in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_colliding_variant_ids_are_a_usage_error(tmp_path, capsys):
+    # 0.1 and 0.1000001 both print as mb-0.1, the id that seeds a cell and
+    # keys summary.csv
+    with pytest.raises(SystemExit) as exc:
+        cli_main([
+            "simulate", "--template", str(IRIS_CSV), "--n", "600", "--variant", "mb",
+            "--batch-frac", "0.1", "--batch-frac", "0.1000001", "--out-dir", str(tmp_path / "out"),
+        ])
+    assert exc.value.code == 2
+    assert "mb-0.1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("config", [
+    '{"varaint": ["em"]}', '{"config": "other.json"}', '{"batch_frac": "x"}',
+    '{"n": 600.5}', '{"variant": "e"}', '{"batch_frac": [0.1, "x"]}',
+    '{"template": "iris.csv"', '[["variant", "em"]]', None,
+], ids=["unknown-key", "config-key", "bad-scalar", "float-int", "bad-variant",
+        "bad-list-item", "malformed", "not-an-object", "missing"])
+def test_cli_rejected_config_is_a_usage_error(tmp_path, capsys, config):
+    # config values go through the flags' parser: what it or the grid
+    # rejects, an unknown key and an unreadable file exit with status 2
+    cfg = tmp_path / "cfg.json"
+    if config is not None:
+        cfg.write_text(config)
+    with pytest.raises(SystemExit) as exc:
+        cli_main([
+            "simulate", "--template", str(IRIS_CSV), "--n", "600", "--config", str(cfg),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mbem") and "error:" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_config_scalar_is_one_flag_value(tmp_path):
+    # a scalar reads as one flag value: "mb" is one variant, 0.25 one fraction
+    out = tmp_path / "out"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "template": str(IRIS_CSV), "n": 600, "epochs": 1, "variant": "mb", "batch_frac": 0.25,
+    }))
+    assert cli_main(["simulate", "--config", str(cfg), "--out-dir", str(out)]) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["variants"] == ["mb-0.25"]
 
 
 @pytest.fixture

@@ -508,6 +508,11 @@ def _assert_pass_equals_full_matrix(y, theta):
     assert labels.dtype == np.intp and np.array_equal(labels, ref_labels)
     alone, none = _density_pass(y, theta)
     assert np.array_equal(alone, ref_dens) and none is None
+    # responsibilities normalise the full matrix, lone last column included
+    lw = _log_weighted(y, _stack(theta))
+    tau = np.exp(lw - lw.max(axis=0))
+    tau /= tau.sum(axis=0)
+    assert np.array_equal(responsibilities_batch(y, theta), tau.T)
 
 
 @pytest.mark.parametrize("d, g", [(1, 3), (4, 3), (3, 10), (50, 10)])
@@ -534,7 +539,7 @@ def test_density_pass_equals_full_matrix_rate_family(family):
     g = 9
     theta = MixtureParams(np.full(g, 1.0 / g), tuple(cls(float(r)) for r in rng.uniform(0.2, 6.0, g)))
     b = _block_rows(g, 1)
-    for n in (1, 2, b - 1, b, b + 1, 2 * b + 3):
+    for n in (1, 2, b - 1, b, b + 1, 2 * b + 1, 2 * b + 3, 3 * b + 1):
         y, _ = sample(theta, n, rng)
         _assert_pass_equals_full_matrix(y, theta)
 
