@@ -19,7 +19,9 @@ and ``kmeans``; ``all`` is the nine-variant grid of ``em`` and the four
 way: the flag if given, else the JSON config file (``--config``), else the
 subcommand's default, else ``_DEFAULTS``; the flags' parser reads the
 config file too.  A value the parser or the grid rejects, including an
-unknown or unreadable config file, is a usage error with exit status 2.
+unknown or unreadable config file, a data file (``--template``,
+``--theta``, ``--images``, ``--labels``) that cannot be read or parsed, and
+a single-valued option given twice, is a usage error with exit status 2.
 
 Outputs: results.csv, summary.csv, summary.json, boxplot_<metric>.csv for
 loglik, loglik_per_obs, se and ari, and meta.json in the output directory.
@@ -81,12 +83,25 @@ _COMMAND_DEFAULTS = {
 }
 
 
+class _StoreOnce(argparse.Action):
+    """Store an option's value, refusing a second one: a single-valued option
+    given twice, by flags or as a list in the config file, is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest, None) is not None:
+            parser.error(f"{option_string} given more than once")
+        setattr(namespace, self.dest, values)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mbem", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     sim = sub.add_parser("simulate", help="template synthesis + variant grid")
     mni = sub.add_parser("mnist", help="IDX -> PCA -> grid with k-means baseline")
     ben = sub.add_parser("bench", help="single run, metrics printed as JSON")
+    for p in (sim, mni, ben):
+        # Every option without an explicit action is single-valued.
+        p.register("action", None, _StoreOnce)
     for p in (sim, ben):
         p.add_argument("--template", type=Path, help="labeled CSV to fit the template from")
         p.add_argument("--theta", type=Path, help="JSON parameter file to sample from")

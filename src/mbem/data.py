@@ -11,6 +11,7 @@ import csv
 import gzip
 import io
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,6 +94,16 @@ def _read_idx_tensor(f) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
+def _read_idx_file(src) -> np.ndarray:
+    """The tensor of one IDX file or stream; a damaged gzip layer is a
+    format violation too."""
+    try:
+        with _open_idx(src) as f:
+            return _read_idx_tensor(f)
+    except (EOFError, zlib.error) as exc:
+        raise IdxFormatError(f"damaged gzip stream: {exc}") from exc
+
+
 def read_idx(images, labels=None) -> IdxImageSet:
     """Parse an IDX image file (and optionally its label file).
 
@@ -100,16 +111,14 @@ def read_idx(images, labels=None) -> IdxImageSet:
     their magic bytes.  Format violations raise :class:`IdxFormatError` with
     the byte offset of the problem.
     """
-    with _open_idx(images) as f:
-        tensor = _read_idx_tensor(f)
+    tensor = _read_idx_file(images)
     if tensor.ndim != 3:
         raise IdxFormatError(f"image set must have 3 dimensions, found {tensor.ndim} at offset 3")
     n, rows, cols = tensor.shape
     pixels = tensor.reshape(n, rows * cols)
     label_vec = None
     if labels is not None:
-        with _open_idx(labels) as f:
-            label_vec = _read_idx_tensor(f)
+        label_vec = _read_idx_file(labels)
         if label_vec.ndim != 1:
             raise IdxFormatError(
                 f"label set must have 1 dimension, found {label_vec.ndim} at offset 3"

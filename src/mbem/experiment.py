@@ -13,6 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from typing import Union
@@ -96,6 +97,17 @@ class VariantSpec:
         return f"mb-{self.fraction:g}{self.name[2:]}"
 
 
+@contextmanager
+def _reading(path: str):
+    """Raise a failure to open or parse the file ``path`` as an
+    :class:`InvalidInputError` whose message names the file."""
+    try:
+        yield
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        message = str(exc) if isinstance(exc, (OSError, ValueError)) else repr(exc)
+        raise InvalidInputError(message if path in message else f"{path}: {message}") from exc
+
+
 @dataclass(frozen=True)
 class TemplateSource:
     """Synthesize ``n`` rows from a mixture fitted to a labeled CSV, one
@@ -106,7 +118,8 @@ class TemplateSource:
 
     @cached_property
     def theta(self) -> MixtureParams:
-        return template_from_labeled_data(*read_labeled_csv(self.csv_path))
+        with _reading(self.csv_path):
+            return template_from_labeled_data(*read_labeled_csv(self.csv_path))
 
     def meta(self) -> dict:
         return {"kind": "template-csv", **asdict(self)}
@@ -122,7 +135,7 @@ class ThetaSource:
 
     @cached_property
     def theta(self) -> MixtureParams:
-        with open(self.theta_path) as f:
+        with _reading(self.theta_path), open(self.theta_path) as f:
             return params_from_dict(json.load(f))
 
     def meta(self) -> dict:
@@ -153,7 +166,10 @@ class IdxSource:
     def load(self):
         """The projected rows and the labels (None without label files)."""
         labels = self.labels or (None,) * len(self.images)
-        sets = [read_idx(*files) for files in zip(self.images, labels)]
+        sets = []
+        for files in zip(self.images, labels):
+            with _reading(", ".join(filter(None, files))):
+                sets.append(read_idx(*files))
         dense, _ = drop_constant_pixels(np.vstack([s.pixels for s in sets]))
         labels = np.concatenate([s.labels for s in sets]) if self.labels else None
         return project(fit_pca(dense, self.d_pc), dense), labels

@@ -62,7 +62,6 @@ from typing import NamedTuple, Union
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.special import gammaln
 
 from .errors import (
     DegenerateComponentError,
@@ -414,6 +413,9 @@ def _rate_log_density(p: _Stacked, z: int, x: np.ndarray) -> np.ndarray:
     rate = float(p.rates[z])
     if p.family == "exponential":
         return np.where(x >= 0.0, math.log(rate) - rate * x, -np.inf)
+    # Imported here, so that only Poisson densities load scipy.special.
+    from scipy.special import gammaln
+
     # Poisson support is the nonnegative integers; gammaln would accept any x > -1.
     support = (x >= 0.0) & (x == np.floor(x))
     with np.errstate(invalid="ignore"):

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
 from .families import MixtureParams, _density_pass
@@ -184,6 +183,54 @@ def squared_error(theta_hat: MixtureParams, theta_true: MixtureParams) -> float:
     # cost[z, w] = squared distance between estimated component z and true w.
     # The total is an exact compensated sum, so relabeling either argument
     # can never change it by a rounding ulp.
-    cost = ((blocks_hat[:, None, :] - blocks_true[None, :, :]) ** 2).sum(axis=2)
-    rows, cols = linear_sum_assignment(cost)
-    return math.fsum(cost[rows, cols].tolist())
+    cost = ((blocks_hat[:, None, :] - blocks_true[None, :, :]) ** 2).sum(axis=2).tolist()
+    cols = _min_cost_assignment(cost)
+    return math.fsum(row[w] for row, w in zip(cost, cols))
+
+
+def _min_cost_assignment(cost: list) -> list:
+    """Column of each row in a minimum-total assignment of the square cost
+    matrix ``cost`` (a list of g rows of floats).
+
+    The Kuhn–Munkres method in its shortest-augmenting-path form, with row
+    and column potentials ``u`` and ``v``: each row joins by the shortest
+    augmenting path in reduced costs ``cost - u - v``, found in O(g^2), so a
+    solve is O(g^3).  It is exact as ``scipy.optimize.linear_sum_assignment``
+    is: where two assignments tie in exact arithmetic, either may be picked,
+    and their float totals can differ by one rounding.  Index 0 of ``u``,
+    ``v``, ``owner`` and ``way`` is the root of the path; ``owner[w]`` is the
+    1-based row holding column ``w``, 0 while it is free.  A non-finite cost
+    still ends the search: the first free column is taken when none is nearer.
+    """
+    g = len(cost)
+    u, v = [0.0] * (g + 1), [0.0] * (g + 1)
+    owner, way = [0] * (g + 1), [0] * (g + 1)
+    for i in range(1, g + 1):
+        owner[0], w0 = i, 0
+        dist, used = [math.inf] * (g + 1), [False] * (g + 1)
+        while owner[w0]:
+            used[w0] = True
+            z = owner[w0]
+            row, uz = cost[z - 1], u[z]
+            delta, w1 = math.inf, 0
+            for w in range(1, g + 1):
+                if not used[w]:
+                    reduced = row[w - 1] - uz - v[w]
+                    if reduced < dist[w]:
+                        dist[w], way[w] = reduced, w0
+                    if w1 == 0 or dist[w] < delta:
+                        delta, w1 = dist[w], w
+            for w in range(g + 1):
+                if used[w]:
+                    u[owner[w]] += delta
+                    v[w] -= delta
+                else:
+                    dist[w] -= delta
+            w0 = w1
+        while w0:
+            owner[w0] = owner[way[w0]]
+            w0 = way[w0]
+    cols = [0] * g
+    for w in range(1, g + 1):
+        cols[owner[w] - 1] = w - 1
+    return cols

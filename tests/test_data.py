@@ -124,6 +124,21 @@ def test_read_idx_gzip(tmp_path):
     assert np.array_equal(ds2.pixels, ds.pixels)
 
 
+@pytest.mark.parametrize("damage", ["truncated", "bad-block"])
+def test_read_idx_damaged_gzip_is_a_format_error(tmp_path, damage):
+    # gzip reports these as EOFError and zlib.error, which name no format
+    raw = gzip.compress(_idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]] * 50, 2, 2))
+    if damage == "truncated":
+        raw = raw[: len(raw) // 2]
+    else:
+        raw = raw[:10] + b"\xff" + raw[11:]  # first deflate block: reserved type 3
+    path = tmp_path / "imgs.idx.gz"
+    path.write_bytes(raw)
+    for src in (path, io.BytesIO(raw)):
+        with pytest.raises(IdxFormatError, match="damaged gzip stream"):
+            read_idx(src)
+
+
 class _ReadOnlyStream:
     """A stream with ``read`` alone: it cannot seek, tell, peek or readinto."""
 

@@ -540,14 +540,70 @@ def test_cli_config_scalar_is_one_flag_value(tmp_path):
     assert meta["variants"] == ["mb-0.25"]
 
 
+@pytest.mark.parametrize("extra, option", [
+    (["--seed", "1", "--seed", "2"], "--seed"),
+    (["--out-dir", "other"], "--out-dir"),
+    (["--config", "cfg.json"], "--seed"),
+], ids=["flag", "path-flag", "config-list"])
+def test_cli_single_valued_option_given_twice_is_a_usage_error(tmp_path, monkeypatch, capsys,
+                                                               extra, option):
+    # a second value is refused, not silently kept; the repeatable options
+    # (--variant, --batch-frac, --images, --labels) still append
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"seed": [1, 2]}')
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate", "--template", str(IRIS_CSV), "--n", "600", "--variant", "em",
+                  "--out-dir", "out", *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mbem") and f"{option} given more than once" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "other").exists()
+
+
+def _write_corpus(directory, n=200):
+    """``n`` labelled 4x4 images in two brightness classes, as IDX files."""
+    rng = np.random.default_rng(7)
+    labels = np.repeat(np.arange(2, dtype=np.uint8), n // 2)
+    pixels = rng.integers(0, 60, size=(n, 16)) + 120 * labels[:, None]
+    images, label_file = directory / "images.idx", directory / "labels.idx"
+    write_idx(IdxImageSet(pixels=pixels, rows=4, cols=4, labels=labels), images, label_file)
+    return images, label_file
+
+
+@pytest.mark.parametrize("command, option, content", [
+    ("simulate", "--template", None), ("simulate", "--template", "a,b,cls\n1.0,oops,0\n"),
+    ("simulate", "--theta", None), ("simulate", "--theta", '{"family": "gaussian"}'),
+    ("simulate", "--theta", '{"family": "gaussian",'), ("simulate", "--theta", "[1, 2]"),
+    ("mnist", "--images", None), ("mnist", "--images", "not an idx file"),
+    ("mnist", "--labels", None),
+], ids=["template-missing", "template-malformed", "theta-missing", "theta-no-components",
+        "theta-not-json", "theta-not-object", "images-missing", "images-malformed",
+        "labels-missing"])
+def test_cli_unreadable_data_file_is_a_usage_error(tmp_path, capsys, command, option, content):
+    # a data file that cannot be opened or parsed exits with status 2 and a
+    # message that names it, not with a traceback
+    bad = tmp_path / "bad-file"
+    if content is not None:
+        bad.write_text(content)
+    if command == "simulate":
+        args = [option, str(bad), "--n", "600", "--variant", "em"]
+    else:
+        images, labels = _write_corpus(tmp_path)
+        files = {"--images": images, "--labels": labels, option: bad}
+        args = ["--images", str(files["--images"]), "--labels", str(files["--labels"]),
+                "--d-pc", "2", "--g", "2"]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *args, "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mbem") and "error:" in err and str(bad) in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture
 def idx_corpus(tmp_path):
     """200 labelled 4x4 images in two brightness classes, as IDX files."""
-    rng = np.random.default_rng(7)
-    labels = np.repeat(np.arange(2, dtype=np.uint8), 100)
-    pixels = rng.integers(0, 60, size=(200, 16)) + 120 * labels[:, None]
-    images, label_file = tmp_path / "images.idx", tmp_path / "labels.idx"
-    write_idx(IdxImageSet(pixels=pixels, rows=4, cols=4, labels=labels), images, label_file)
+    images, label_file = _write_corpus(tmp_path)
     return ["--images", str(images), "--labels", str(label_file),
             "--d-pc", "2", "--g", "2", "--epochs", "1"]
 

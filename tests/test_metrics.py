@@ -13,6 +13,7 @@ from mbem.metrics import (
     MetricReport,
     _contingency,
     _exact_sum,
+    _min_cost_assignment,
     adjusted_rand_index,
     dataset_loglik,
     map_labels,
@@ -438,6 +439,44 @@ def test_squared_error_assignment_matches_enumeration(g):
     cost = ((blocks_a[:, None, :] - blocks_b[None, :, :]) ** 2).sum(axis=2)
     brute = min(sum(cost[z, p[z]] for z in range(g)) for p in permutations(range(g)))
     assert squared_error(a, b) == pytest.approx(brute, rel=1e-12)
+
+
+def test_assignment_total_matches_scipy():
+    # the package's own solver against scipy's, which the package no longer
+    # imports: 1200 square matrices, g = 1..12, costs spread over 1e-5..1e5,
+    # a quarter with many tied entries.  Two assignments that tie in exact
+    # arithmetic may differ by one rounding in their float totals, so either
+    # solver may pick the one an ulp above.
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(15)
+    for trial in range(1200):
+        g = trial % 12 + 1
+        scale = 10.0 ** rng.uniform(-5.0, 5.0)
+        if trial % 4 == 0:
+            cost = rng.integers(0, 3, (g, g)) * scale
+        elif trial % 4 == 1:
+            cost = 10.0 ** rng.uniform(-5.0, 5.0, (g, g))
+        else:
+            cost = rng.random((g, g)) * scale
+        cols = _min_cost_assignment(cost.tolist())
+        assert sorted(cols) == list(range(g))
+        total = math.fsum(cost[np.arange(g), cols].tolist())
+        rows, ref_cols = linear_sum_assignment(cost)
+        ref = math.fsum(cost[rows, ref_cols].tolist())
+        assert abs(total - ref) <= math.ulp(ref), (trial, total, ref)
+
+
+def test_assignment_takes_the_cheap_diagonal_over_the_greedy_start():
+    # row 0's cheapest column is not in the optimum: 1 + 100 > 2 + 2
+    assert _min_cost_assignment([[1.0, 2.0], [2.0, 100.0]]) == [1, 0]
+    assert _min_cost_assignment([[0.0]]) == [0]
+
+
+def test_assignment_ends_on_non_finite_costs():
+    # an overflowed cost still yields a permutation instead of a stalled search
+    cols = _min_cost_assignment([[math.inf, math.inf], [math.inf, 1.0]])
+    assert sorted(cols) == [0, 1]
 
 
 def test_squared_error_shape_mismatch():
