@@ -193,8 +193,10 @@ def fit_pca(data: np.ndarray, d_pc: int) -> PcaModel:
     mean /= n
     scatter = np.zeros((d, d))
     for start in range(0, n, _CHUNK_ROWS):
-        chunk = np.asarray(data[start : start + _CHUNK_ROWS], dtype=float) - mean
+        chunk = data[start : start + _CHUNK_ROWS].astype(float)
+        chunk -= mean
         scatter += chunk.T @ chunk
+        del chunk  # else it lives on while the next chunk is made
     cov = scatter / (n - 1) if n > 1 else scatter
     cov = (cov + cov.T) / 2.0
     vals, vecs = np.linalg.eigh(cov)
@@ -213,8 +215,10 @@ def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
     n = data.shape[0]
     out = np.empty((n, model.components.shape[1]))
     for start in range(0, n, _CHUNK_ROWS):
-        chunk = np.asarray(data[start : start + _CHUNK_ROWS], dtype=float) - model.mean
+        chunk = data[start : start + _CHUNK_ROWS].astype(float)
+        chunk -= model.mean
         out[start : start + _CHUNK_ROWS] = chunk @ model.components
+        del chunk
     return out
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
@@ -170,8 +169,12 @@ class IdxSource:
         for files in zip(self.images, labels):
             with _reading(", ".join(filter(None, files))):
                 sets.append(read_idx(*files))
-        dense, _ = drop_constant_pixels(np.vstack([s.pixels for s in sets]))
         labels = np.concatenate([s.labels for s in sets]) if self.labels else None
+        pixels = np.vstack([s.pixels for s in sets])
+        # Free the per-file arrays once stacked, and the stack once filtered.
+        del sets
+        dense, _ = drop_constant_pixels(pixels)
+        del pixels
         return project(fit_pca(dense, self.d_pc), dense), labels
 
 
@@ -351,6 +354,9 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
             global _CTX
             _CTX = None
     else:
+        # Imported here, so that serial grids do not load the pool machinery.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(
             max_workers=spec.workers,
             initializer=_init_worker,

@@ -55,13 +55,17 @@ and they stay bit-identical to the solve-based arithmetic.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Union
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import (
     DegenerateComponentError,
@@ -81,12 +85,42 @@ S1_FLOOR = 1e-12
 #: Absolute symmetry tolerance, scaled by the matrix magnitude.
 _SYM_TOL = 1e-12
 
+
+def _flapack():
+    """SciPy's compiled LAPACK module, loaded without the ``scipy.linalg``
+    package init (about 300 modules and 24 MB of memory).
+
+    Its routines are the very objects ``scipy.linalg.lapack`` hands out, so
+    results do not depend on which of the two loaded it.  ``import scipy``
+    above still runs SciPy's own init, which sets library paths on Windows.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(
+        scipy.__path__[0], "linalg", "_flapack" + importlib.machinery.EXTENSION_SUFFIXES[0]
+    )
+    spec = importlib.util.spec_from_file_location(
+        name, path, loader=importlib.machinery.ExtensionFileLoader(name, path)
+    )
+    try:
+        module = importlib.util.module_from_spec(spec)
+    except ImportError as exc:
+        raise ImportError(f"cannot load SciPy's LAPACK module {path}: {exc}", name=name,
+                          path=path) from exc
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_LAPACK = _flapack()
+
 #: LAPACK triangular solve, the routine behind ``scipy.linalg.solve_triangular``
 #: for float64 input, called directly to skip that wrapper's per-call checks.
-_TRTRS = get_lapack_funcs("trtrs", (np.empty((1, 1)),))
+_TRTRS = _LAPACK.dtrtrs
 
 #: LAPACK triangular inverse, behind the L^-1 of :func:`_weighted_blocks`.
-_TRTRI = get_lapack_funcs("trtri", (np.empty((1, 1)),))
+_TRTRI = _LAPACK.dtrtri
 
 #: Elements of the largest temporary of an E-step or evaluation block, the
 #: (g, d, b) scatter product; memory does not grow with the batch.

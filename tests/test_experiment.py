@@ -14,6 +14,7 @@ from mbem.experiment import (
     RESULTS_COLUMNS,
     TIMING_COLUMNS,
     ExperimentSpec,
+    IdxSource,
     RunRow,
     TemplateSource,
     ThetaSource,
@@ -568,6 +569,29 @@ def _write_corpus(directory, n=200):
     images, label_file = directory / "images.idx", directory / "labels.idx"
     write_idx(IdxImageSet(pixels=pixels, rows=4, cols=4, labels=labels), images, label_file)
     return images, label_file
+
+
+def test_idx_load_holds_one_float_chunk(tmp_path):
+    # two full 4096-row PCA chunks of 784 noisy pixels (none constant): the
+    # load may hold the stacked uint8 pixels twice, one float chunk and the
+    # d x d scatter with its product, not the per-file arrays or a second chunk
+    from mbem.data import _CHUNK_ROWS
+
+    n, d = 2 * _CHUNK_ROWS, 784
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(0, 256, size=(n, d), dtype=np.uint8)
+    write_idx(IdxImageSet(pixels=pixels, rows=28, cols=28), tmp_path / "images.idx")
+    del pixels
+    bound = 2 * n * d + 8 * d * (1.25 * _CHUNK_ROWS + 2 * d)  # fixed before measuring
+    source = IdxSource((str(tmp_path / "images.idx"),), (), d_pc=10)
+    tracemalloc.start()
+    try:
+        rows, labels = source.load()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (n, 10) and labels is None
+    assert peak < bound
 
 
 @pytest.mark.parametrize("command, option, content", [
