@@ -228,10 +228,11 @@ def project(model: PcaModel, data: np.ndarray) -> np.ndarray:
 
 def _fit_block(block: np.ndarray) -> tuple:
     """Maximum-likelihood Gaussian of a block of rows: the mean and the
-    centred scatter divided by the row count, symmetrised."""
+    centred scatter divided by the row count, symmetrised.  The block is
+    centred in place, so callers pass a copy of their rows."""
     mean = block.mean(axis=0)
-    centered = block - mean
-    cov = centered.T @ centered / block.shape[0]
+    block -= mean
+    cov = block.T @ block / block.shape[0]
     return mean, (cov + cov.T) / 2.0
 
 
@@ -275,6 +276,40 @@ def random_partition_init(
     raise InitializationError(f"no valid random partition after {_PARTITION_DRAWS} attempts")
 
 
+def _set_means(data: np.ndarray, labels: np.ndarray, blocks: list, centers: np.ndarray) -> None:
+    """Set each row z of ``centers`` whose cluster (``labels == z``) has
+    members to that cluster's mean, bit for bit ``data[labels == z].mean(axis=0)``.
+
+    NumPy sums an (m, d) matrix down its rows one row after another when
+    d >= 2, so each cluster's sum is carried through the row ``blocks``: a
+    block's member rows are reduced with the running sum stacked on top, in
+    a buffer of one block.  At d = 1 that sum is pairwise instead, and a
+    cluster's rows, one float each, are gathered whole.
+    """
+    g, d = centers.shape
+    if d == 1:
+        for z in range(g):
+            members = data[labels == z]
+            if members.size:
+                centers[z] = members.mean(axis=0)
+        return
+    sums = np.zeros((g, d))
+    counts = np.zeros(g, dtype=np.intp)
+    buf = np.empty((min(len(data), blocks[0].stop) + 1, d))
+    for rows in blocks:
+        block, block_labels = data[rows], labels[rows]
+        for z in range(g):
+            members = block_labels == z
+            m = np.count_nonzero(members)
+            if m:
+                buf[0] = sums[z]
+                np.compress(members, block, axis=0, out=buf[1 : m + 1])
+                buf[: m + 1].sum(axis=0, out=sums[z])
+                counts[z] += m
+    filled = counts > 0
+    centers[filled] = sums[filled] / counts[filled, None]
+
+
 def kmeans(
     data: np.ndarray, g: int, epochs: int, init_labels: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -285,10 +320,12 @@ def kmeans(
     point.  Other initial labels raise :class:`InvalidInputError`.  The
     within-cluster sum of squares is asserted nonincreasing after every sweep.
 
-    No (n, d) temporary is built: the squared row norms and the
-    within-cluster sum of squares are taken over row blocks, and a sweep
-    holds one (n, g) distance matrix, from one product of the data with the
-    centres, besides one cluster's rows at a time.
+    Every pass over the data goes by 1 MiB row blocks: the squared row
+    norms, the distances with their labels and point costs, the centres
+    (:func:`_set_means`) and the within-cluster sum of squares.  Besides
+    the data, a sweep holds its per-row vectors (norms, old and new labels,
+    point costs) and one block's temporaries, never an (n, g) distance
+    matrix or a cluster's rows.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
@@ -300,39 +337,35 @@ def kmeans(
     if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= g:
         raise InvalidInputError(f"initial labels must be integers in [0, {g})")
 
-    centers = np.zeros((g, d))
-    counts = np.bincount(labels, minlength=g)
-    grand_mean = data.mean(axis=0)
-    for z in range(g):
-        centers[z] = data[labels == z].mean(axis=0) if counts[z] > 0 else grand_mean
-
     step = _block_rows(1, d)
     blocks = [slice(start, start + step) for start in range(0, n, step)]
+    centers = np.tile(data.mean(axis=0), (g, 1))  # an empty cluster starts at the grand mean
+    _set_means(data, labels, blocks, centers)
     sq_norms = np.empty(n)
     for rows in blocks:
         block = data[rows]
         (block * block).sum(axis=1, out=sq_norms[rows])
+    point_cost = np.empty(n)
     prev_wcss = np.inf
     for _ in range(epochs):
-        # sq_norms - 2 y.c + |c|^2, built in place: adding -2 y.c equals
-        # subtracting 2 y.c exactly.
-        dist = data @ centers.T
-        dist *= -2.0
-        dist += sq_norms[:, None]
-        dist += (centers * centers).sum(axis=1)
-        new_labels = np.argmin(dist, axis=1)
-        point_cost = dist.min(axis=1)
-        del dist
+        new_labels = np.empty(n, dtype=np.intp)
+        center_norms = (centers * centers).sum(axis=1)
+        for rows in blocks:
+            # sq_norms - 2 y.c + |c|^2, built in place: adding -2 y.c equals
+            # subtracting 2 y.c exactly.
+            dist = data[rows] @ centers.T
+            dist *= -2.0
+            dist += sq_norms[rows, None]
+            dist += center_norms
+            dist.argmin(axis=1, out=new_labels[rows])
+            dist.min(axis=1, out=point_cost[rows])
         empty = np.flatnonzero(np.bincount(new_labels, minlength=g) == 0)
         for z in empty:
             far = int(np.argmax(point_cost))
             centers[z] = data[far]
             new_labels[far] = z
             point_cost[far] = 0.0
-        for z in range(g):
-            members = new_labels == z
-            if np.any(members):
-                centers[z] = data[members].mean(axis=0)
+        _set_means(data, new_labels, blocks, centers)
         wcss = 0.0
         for rows in blocks:
             diff = centers[new_labels[rows]]

@@ -437,7 +437,11 @@ def _as_data_matrix(y: np.ndarray, dim: int) -> np.ndarray:
         arr = arr.reshape(1, -1) if arr.shape[0] == dim else arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[1] != dim:
         raise InvalidInputError(f"observations have dimension {arr.shape[-1]}, model has {dim}")
-    if not np.all(np.isfinite(arr)):
+    # A finite sum means finite entries, with no (n, d) mask; an overflowing
+    # one takes the exact test.
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = arr.sum()
+    if not math.isfinite(total) and not np.isfinite(arr).all():
         raise InvalidInputError("observations contain non-finite coordinates")
     return arr
 
@@ -800,19 +804,25 @@ def sample(theta: MixtureParams, n: int, rng: np.random.Generator) -> tuple[np.n
     Gaussian rows are transformed in place: the standard-normal draw is the
     returned array, and each component's rows become mean + L noise.  Every
     row belongs to one component, so each is transformed once, from its own
-    noise.  Besides the data, only one component's gathered rows and their
-    product by L^T are held at a time, the two buffers one GEMM needs.
+    noise.  A component's rows go through in chunks of
+    ``_block_rows(1, d)`` rows, the last taking the remainder, so besides
+    the data only one chunk's gathered rows and their product by L^T are
+    held.  No chunk is shorter than that unless the component is: a GEMM
+    over a few tail rows rounds differently, and chunks of at least that
+    size give the bits of one GEMM over the whole component.
     """
     if n < 1:
         raise InvalidInputError("sample size must be at least 1")
     labels = rng.choice(theta.g, size=n, p=theta.weights)
     if theta.family_tag == "gaussian":
         out = rng.standard_normal((n, theta.dim))
+        step = _block_rows(1, theta.dim)
         for z, comp in enumerate(theta.components):
-            idx = labels == z
-            if not np.any(idx):
-                continue
-            out[idx] = out[idx] @ np.linalg.cholesky(comp.cov).T + comp.mean
+            idx = np.flatnonzero(labels == z)
+            chol_t = np.linalg.cholesky(comp.cov).T
+            # cut every ``step`` rows, but not before the last whole chunk
+            for rows in np.split(idx, range(step, idx.size // step * step, step)):
+                out[rows] = out[rows] @ chol_t + comp.mean
         return out, labels
     rates = theta.rates()
     if theta.family_tag == "exponential":

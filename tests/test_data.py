@@ -425,6 +425,28 @@ def test_kmeans_builds_no_data_sized_temporary():
     assert peak < bound
 
 
+def test_kmeans_holds_per_row_vectors_and_blocks():
+    # d = 50, four equal, well separated clouds: besides the data a sweep
+    # holds five per-row vectors at most (norms, old and new labels, point
+    # costs, a comparison mask) and 1 MiB row blocks; one cloud's rows
+    # would be 25% of the data and the (n, g) distances 8%
+    d, g, n = 50, 4, 40_000
+    theta = MixtureParams(
+        np.full(g, 0.25), tuple(Gaussian(np.full(d, 10.0 * z), np.eye(d)) for z in range(g))
+    )
+    data, labels = sample(theta, n, np.random.default_rng(8))
+    rng = np.random.default_rng(9)
+    init = np.where(rng.random(n) < 0.1, rng.integers(0, g, n), labels)
+    bound = 5 * 8 * n + 2 * 2**20  # fixed before measuring
+    tracemalloc.start()
+    try:
+        kmeans(data, g, epochs=2, init_labels=init)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
+
+
 def test_kmeans_validation():
     with pytest.raises(InvalidInputError):
         kmeans(np.zeros((2, 1)), 5, epochs=1, init_labels=np.zeros(2, dtype=int))

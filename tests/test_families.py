@@ -34,6 +34,7 @@ from mbem.families import (
     unpack_symmetric,
 )
 from mbem.families import (
+    _as_data_matrix,
     _blend,
     _block_rows,
     _density_pass,
@@ -130,6 +131,36 @@ def test_log_density_rejects_nonfinite_input():
         log_density([np.nan], STD_NORMAL_1D)
     with pytest.raises(InvalidInputError):
         log_density([np.inf, 0.0], TWO_COMP_2D)
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                         ids=["nan", "inf", "-inf", "inf-and-minus-inf"])
+def test_data_matrix_rejects_nonfinite_coordinates(bad):
+    # +inf and -inf in one matrix sum to NaN
+    y = np.zeros((6, 2))
+    y.flat[: len(bad)] = bad
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        _as_data_matrix(y, 2)
+
+
+def test_data_matrix_accepts_finite_rows_whose_sum_overflows():
+    y = np.full((2, 3), 1e308)
+    with np.errstate(over="ignore"):
+        assert math.isinf(y.sum())
+    assert _as_data_matrix(y, 3) is y
+
+
+def test_data_matrix_check_builds_no_mask():
+    # an elementwise mask of a float matrix is 1/8 of its bytes
+    y = np.random.default_rng(2).standard_normal((20_000, 50))
+    bound = 0.01 * y.nbytes  # fixed before measuring
+    tracemalloc.start()
+    try:
+        _as_data_matrix(y, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 def test_log_density_rejects_dimension_mismatch():
@@ -772,6 +803,42 @@ def test_sample_holds_the_data_and_one_component():
     tracemalloc.start()
     try:
         data, _ = sample(theta, n, np.random.default_rng(14))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert data.shape == (n, d)
+    assert peak < bound
+
+
+@pytest.mark.parametrize("d", [1, 4, 50])
+def test_sample_chunks_equal_whole_component_transform(d):
+    # one component puts every row in it, so its chunks straddle n exactly;
+    # plain chunks of b rows would end on a short GEMM, which rounds
+    # differently from one GEMM over the component
+    b = _block_rows(1, d)
+    for g in (1, 3):
+        theta = make_gaussian_mixture(np.random.default_rng(d), d, g)
+        for n in (b - 1, b + 1, 2 * b + 5, 5 * b + 3):
+            got = sample(theta, n, np.random.default_rng(n))
+            ref = _two_array_sample(theta, n, np.random.default_rng(n))
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1]), (g, n)
+
+
+def test_sample_holds_the_data_and_one_chunk():
+    # d = 50, four equal components of about five chunks each: besides the
+    # data, the peak holds the labels, one component's mask and row indices,
+    # and one chunk's gathered rows and their product by L^T, each under
+    # 2 b rows (2 MiB); whole components would hold a quarter of the data each
+    d, g = 50, 4
+    n = 5 * g * _block_rows(1, d)
+    theta = MixtureParams(
+        np.full(g, 0.25), tuple(Gaussian(np.full(d, 3.0 * z), np.eye(d)) for z in range(g))
+    )
+    rng = np.random.default_rng(15)
+    bound = n * d * 8 + 16 * n + 4 * 2**20  # fixed before measuring
+    tracemalloc.start()
+    try:
+        data, _ = sample(theta, n, rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
