@@ -30,7 +30,6 @@ from .families import (
     theta_bar,
 )
 from .metrics import (
-    MetricReport,
     adjusted_rand_index,
     dataset_loglik,
     map_labels,
@@ -43,7 +42,6 @@ __all__ = [
     "Exponential",
     "Gaussian",
     "LearningRate",
-    "MetricReport",
     "MixtureParams",
     "Poisson",
     "RunConfig",

@@ -261,18 +261,12 @@ def random_partition_init(
         counts = np.bincount(labels, minlength=g)
         if np.any(counts < d + 1):
             continue
-        comps = []
-        for z in range(g):
-            mean, cov = _fit_block(data[labels == z])
-            try:
-                np.linalg.cholesky(cov)
-            except np.linalg.LinAlgError:
-                comps = None
-                break
-            comps.append(Gaussian(mean, cov))
-        if comps is not None:
-            params = MixtureParams(counts / n, tuple(comps))
-            return (params, labels) if return_labels else params
+        try:
+            comps = tuple(Gaussian(*_fit_block(data[labels == z])) for z in range(g))
+        except InvalidInputError:  # a block covariance Gaussian rejects: singular
+            continue
+        params = MixtureParams(counts / n, comps)
+        return (params, labels) if return_labels else params
     raise InitializationError(f"no valid random partition after {_PARTITION_DRAWS} attempts")
 
 

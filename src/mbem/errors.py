@@ -14,10 +14,6 @@ class InvalidInputError(EstimationError, ValueError):
     """Malformed caller input: wrong shapes, non-finite values, bad ranges."""
 
 
-class NumericDomainError(EstimationError):
-    """A numerically undefined operation, e.g. a singular covariance factorization."""
-
-
 class DegeneratePointError(EstimationError):
     """Every mixture component assigns zero density to the observation."""
 

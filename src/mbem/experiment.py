@@ -33,7 +33,7 @@ from .data import (
 from .engine import DEFAULT_LEARNING_RATE, LearningRate, RunConfig, TruncationRegion, run
 from .errors import EngineRunError, EstimationError, InvalidInputError
 from .families import MixtureParams, _density_pass, params_from_dict, params_to_dict, sample
-from .metrics import MetricReport, _exact_sum, adjusted_rand_index, squared_error
+from .metrics import _exact_sum, adjusted_rand_index, squared_error
 
 _MASK64 = (1 << 64) - 1
 
@@ -256,10 +256,12 @@ def _init_worker(data, labels, theta_true):
     _CTX = (data, labels, theta_true)
 
 
-def _evaluate(theta, data, labels, theta_true, runtime: float) -> MetricReport:
-    # One density pass at theta gives the log-likelihood and, for a labelled
-    # source, the MAP labels; they equal dataset_loglik and map_labels bit for
-    # bit.  Without labels a zero-density row only makes the loglik -inf.
+def _evaluate(theta, data, labels, theta_true) -> tuple[float, float, float]:
+    # (loglik, se, ari) of a fitted theta; se and ari are nan without a true
+    # mixture of its shape or without labels.  One density pass at theta
+    # gives the log-likelihood and, for a labelled source, the MAP labels;
+    # they equal dataset_loglik and map_labels bit for bit.  Without labels a
+    # zero-density row only makes the loglik -inf.
     dens, fitted = _density_pass(data, theta, labels=labels is not None)
     loglik = _exact_sum(dens)
     se = float("nan")
@@ -268,7 +270,7 @@ def _evaluate(theta, data, labels, theta_true, runtime: float) -> MetricReport:
     ari = float("nan")
     if labels is not None:
         ari = adjusted_rand_index(fitted, labels)
-    return MetricReport(loglik=loglik, se=se, ari=ari, runtime_seconds=runtime)
+    return loglik, se, ari
 
 
 def _run_task(args) -> RunRow:
@@ -293,12 +295,12 @@ def _run_task(args) -> RunRow:
     try:
         record = run(data, config, init_theta)
         theta = record.polyak_theta if config.polyak else record.final_theta
-        report = _evaluate(theta, data, labels, theta_true, record.wall_time)
+        loglik, se, ari = _evaluate(theta, data, labels, theta_true)
         return RunRow(
             variant.vid, rep, config.seed, "ok",
-            report.loglik, report.loglik / n, report.se, report.ari,
+            loglik, loglik / n, se, ari,
             record.iterations, record.truncation_events,
-            report.runtime_seconds, record.cpu_time,
+            record.wall_time, record.cpu_time,
         )
     except EstimationError as exc:
         iteration = exc.iteration if isinstance(exc, EngineRunError) else 0

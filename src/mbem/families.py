@@ -60,7 +60,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Union
 
@@ -73,7 +73,6 @@ from .errors import (
     DegeneratePointError,
     EmptyComponentError,
     InvalidInputError,
-    NumericDomainError,
 )
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -176,14 +175,20 @@ def _check_symmetric(m: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class Gaussian:
-    """Multivariate normal component: mean vector and full SPD covariance."""
+    """Multivariate normal component: mean vector and full SPD covariance.
+
+    ``mean`` and ``cov`` are read-only copies of the arguments, and ``chol``
+    is the read-only lower Cholesky factor of ``cov`` that validation
+    computes; stacks and samplers use it rather than factorise ``cov`` again.
+    """
 
     mean: np.ndarray
     cov: np.ndarray
+    chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
-        cov = np.atleast_2d(np.asarray(self.cov, dtype=float))
+        mean = np.atleast_1d(np.array(self.mean, dtype=float))
+        cov = np.atleast_2d(np.array(self.cov, dtype=float))
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
         d = mean.shape[0]
@@ -194,9 +199,15 @@ class Gaussian:
         if not _check_symmetric(cov):
             raise InvalidInputError("covariance is not symmetric")
         try:
-            np.linalg.cholesky(cov)
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise InvalidInputError("covariance is not positive definite") from exc
+        object.__setattr__(self, "chol", chol)
+        mean.flags.writeable = cov.flags.writeable = chol.flags.writeable = False
+
+    def __reduce__(self):
+        # Unpickled arrays are writable; rebuilding keeps them read-only.
+        return Gaussian, (self.mean, self.cov)
 
     @property
     def dim(self) -> int:
@@ -410,16 +421,15 @@ def _log_norms(chols: np.ndarray) -> np.ndarray:
 
 
 def _stack(theta: MixtureParams) -> _Stacked:
-    """Stacked arrays of ``theta``, factored for an E-step."""
+    """Stacked arrays of ``theta``, factored for an E-step with the Cholesky
+    factors its components were validated with."""
     family, w = theta.family_tag, theta.weights
     if family != "gaussian":
         return _Stacked(family, w, rates=theta.rates(), log_weights=np.log(w))
-    means, covs = theta.means(), theta.covariances()
-    try:
-        chols = np.linalg.cholesky(covs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericDomainError("singular component covariance") from exc
-    return _Stacked(family, w, means, covs, None, np.log(w), chols, _log_norms(chols))
+    chols = np.stack([c.chol for c in theta.components])
+    return _Stacked(
+        family, w, theta.means(), theta.covariances(), None, np.log(w), chols, _log_norms(chols)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +482,7 @@ def _row_log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
     One observation keeps the triangular solve: batch-size-1 runs, which are
     chaotic under truncation, keep their bits.  Each solve is the call
     scipy.linalg.solve_triangular(chol, diff, lower=True) makes for a
-    C-ordered factor (every np.linalg.cholesky slice is), on a (d, 1)
+    C-ordered factor (every slice of a stack's ``chols`` is), on a (d, 1)
     column.  The squared norms are one "dn,dn->n" contraction with a leading
     component axis, which sums each column as the per-column call does.
     """
@@ -698,7 +708,9 @@ def _cholesky_or_raise(covs: np.ndarray) -> np.ndarray:
     component that is non-finite or not positive definite.
     """
     # A finite sum means finite entries; an overflowing one takes the slow path.
-    if math.isfinite(covs.sum()):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = covs.sum()
+    if math.isfinite(total):
         try:
             return np.linalg.cholesky(covs)
         except np.linalg.LinAlgError:
@@ -809,7 +821,8 @@ def sample(theta: MixtureParams, n: int, rng: np.random.Generator) -> tuple[np.n
     the data only one chunk's gathered rows and their product by L^T are
     held.  No chunk is shorter than that unless the component is: a GEMM
     over a few tail rows rounds differently, and chunks of at least that
-    size give the bits of one GEMM over the whole component.
+    size give the bits of one GEMM over the whole component.  L is the
+    factor the component was validated with.
     """
     if n < 1:
         raise InvalidInputError("sample size must be at least 1")
@@ -819,7 +832,7 @@ def sample(theta: MixtureParams, n: int, rng: np.random.Generator) -> tuple[np.n
         step = _block_rows(1, theta.dim)
         for z, comp in enumerate(theta.components):
             idx = np.flatnonzero(labels == z)
-            chol_t = np.linalg.cholesky(comp.cov).T
+            chol_t = comp.chol.T
             # cut every ``step`` rows, but not before the last whole chunk
             for rows in np.split(idx, range(step, idx.size // step * step, step)):
                 out[rows] = out[rows] @ chol_t + comp.mean

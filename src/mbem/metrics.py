@@ -5,28 +5,11 @@ labels, adjusted Rand index, and permutation-aligned squared parameter error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .families import MixtureParams, _density_pass
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Metric bundle for one run."""
-
-    loglik: float
-    se: float
-    ari: float
-    runtime_seconds: float
-
-    def __post_init__(self):
-        if not math.isnan(self.ari) and self.ari > 1.0 + 1e-12:
-            raise InvalidInputError(f"adjusted Rand index cannot exceed 1, got {self.ari}")
-        if self.runtime_seconds < 0.0:
-            raise InvalidInputError("runtime cannot be negative")
 
 
 def dataset_loglik(data: np.ndarray, theta: MixtureParams) -> float:

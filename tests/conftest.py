@@ -19,6 +19,19 @@ def make_gaussian_mixture(rng, d, g, weight_floor=0.15):
     return MixtureParams(w, tuple(comps))
 
 
+def count_cholesky(monkeypatch):
+    """List that gets one entry per np.linalg.cholesky call from here on."""
+    calls = []
+    original = np.linalg.cholesky
+
+    def counted(a, *args, **kwargs):
+        calls.append(a)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    return calls
+
+
 def random_instance(rng, max_d=2, max_g=3, n=60):
     """(data, generating params) pair drawn from a random mixture."""
     d = int(rng.integers(1, max_d + 1))

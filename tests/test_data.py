@@ -23,7 +23,7 @@ from mbem.errors import IdxFormatError, InitializationError, InvalidInputError
 from mbem.families import Gaussian, MixtureParams, sample
 from mbem.metrics import adjusted_rand_index
 
-from conftest import make_gaussian_mixture
+from conftest import count_cholesky, make_gaussian_mixture
 
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
 
@@ -309,6 +309,14 @@ def test_partition_init_returns_labels(rng):
     params, labels = random_partition_init(data, 2, np.random.default_rng(9), return_labels=True)
     counts = np.bincount(labels, minlength=2)
     np.testing.assert_allclose(params.weights, counts / 60, atol=1e-15)
+
+
+def test_partition_init_factorises_each_block_once(rng, monkeypatch):
+    theta = make_gaussian_mixture(rng, 2, 3)
+    data, _ = sample(theta, 300, rng)
+    calls = count_cholesky(monkeypatch)
+    init = random_partition_init(data, 3, np.random.default_rng(4))
+    assert len(calls) == init.g == 3
 
 
 def test_partition_init_insufficient_data(rng):

@@ -161,11 +161,11 @@ def test_evaluate_zero_density_row():
     theta = MixtureParams([0.5, 0.5], (Exponential(1.0), Exponential(3.0)))
     data = np.array([[0.5], [-1.0], [2.0]])
     with pytest.raises(DegeneratePointError):
-        _evaluate(theta, data, np.array([0, 1, 0]), theta, 0.0)
-    report = _evaluate(theta, data, None, theta, 0.0)
-    assert report.loglik == -math.inf == dataset_loglik(data, theta)
-    assert report.se == 0.0
-    assert math.isnan(report.ari)
+        _evaluate(theta, data, np.array([0, 1, 0]), theta)
+    loglik, se, ari = _evaluate(theta, data, None, theta)
+    assert loglik == -math.inf == dataset_loglik(data, theta)
+    assert se == 0.0
+    assert math.isnan(ari)
 
 
 def test_serial_grid_releases_its_data(tmp_path):

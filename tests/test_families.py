@@ -1,5 +1,7 @@
 import math
+import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +39,7 @@ from mbem.families import (
     _as_data_matrix,
     _blend,
     _block_rows,
+    _cholesky_or_raise,
     _density_pass,
     _estep,
     _log_sum_exp,
@@ -44,7 +47,7 @@ from mbem.families import (
     _stack,
 )
 
-from conftest import make_gaussian_mixture
+from conftest import count_cholesky, make_gaussian_mixture
 
 STD_NORMAL_1D = MixtureParams([1.0], (Gaussian([0.0], [[1.0]]),))
 
@@ -76,6 +79,27 @@ def test_covariance_must_be_positive_definite():
 def test_covariance_must_be_symmetric():
     with pytest.raises(InvalidInputError):
         Gaussian([0.0, 0.0], [[1.0, 0.5], [0.1, 1.0]])
+
+
+def test_gaussian_arrays_are_read_only_copies():
+    mean, cov = np.array([1.0, 2.0]), np.array([[2.0, 0.5], [0.5, 1.0]])
+    comp = Gaussian(mean, cov)
+    for arr in (comp.mean, comp.cov, comp.chol):
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    # the caller's arrays are copied, not frozen
+    mean[0] = cov[0, 0] = 3.0
+    assert comp.mean[0] == 1.0 and comp.cov[0, 0] == 2.0
+
+
+def test_gaussian_keeps_its_validation_factor():
+    comp = Gaussian([0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])
+    assert np.array_equal(comp.chol, np.linalg.cholesky(comp.cov))
+    assert "chol" not in repr(comp)
+    back = pickle.loads(pickle.dumps(comp))
+    assert np.array_equal(back.chol, comp.chol) and not back.chol.flags.writeable
+    with pytest.raises(TypeError):
+        Gaussian([0.0], [[1.0]], chol=np.eye(1))
 
 
 def test_rates_must_be_positive():
@@ -668,6 +692,35 @@ def test_theta_bar_of_stats_from_params_is_identity(family, seed, d, g):
     for got, want in zip(_blocks(back), _blocks(theta)):
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+# ---------------------------------------------------------------------------
+# factored stacks
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("d", [1, 4, 50])
+def test_stack_factors_are_the_validation_factors(d):
+    theta = make_gaussian_mixture(np.random.default_rng(d), d, 3)
+    chols = _stack(theta).chols
+    assert np.array_equal(chols, np.linalg.cholesky(theta.covariances()))
+    assert np.array_equal(chols, np.stack([c.chol for c in theta.components]))
+
+
+def test_stack_and_sample_factorise_nothing(monkeypatch):
+    theta = make_gaussian_mixture(np.random.default_rng(0), 4, 3)
+    calls = count_cholesky(monkeypatch)
+    _stack(theta)
+    sample(theta, 100, np.random.default_rng(1))
+    assert calls == []
+
+
+def test_cholesky_or_raise_sum_overflow_is_silent():
+    # finite covariances whose entries sum past the float64 range
+    covs = np.stack([np.eye(2) * 1e308] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chols = _cholesky_or_raise(covs)
+    assert np.array_equal(chols, np.linalg.cholesky(covs))
 
 
 # ---------------------------------------------------------------------------

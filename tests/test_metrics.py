@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mbem.errors import DegeneratePointError, InvalidInputError
 from mbem.families import Exponential, Gaussian, MixtureParams, Poisson, responsibilities_batch, sample
 from mbem.metrics import (
-    MetricReport,
     _contingency,
     _exact_sum,
     _min_cost_assignment,
@@ -493,15 +492,3 @@ def test_squared_error_rate_family():
     a = MixtureParams([0.5, 0.5], (Poisson(1.0), Poisson(4.0)))
     b = MixtureParams([0.5, 0.5], (Poisson(4.0), Poisson(1.0)))
     assert squared_error(a, b) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# MetricReport
-# ---------------------------------------------------------------------------
-
-def test_metric_report_validation():
-    MetricReport(loglik=-10.0, se=0.1, ari=0.5, runtime_seconds=1.0)
-    with pytest.raises(InvalidInputError):
-        MetricReport(loglik=0.0, se=0.0, ari=1.5, runtime_seconds=0.0)
-    with pytest.raises(InvalidInputError):
-        MetricReport(loglik=0.0, se=0.0, ari=0.0, runtime_seconds=-1.0)
