@@ -240,17 +240,14 @@ def _fit_block(block: np.ndarray) -> tuple:
 _PARTITION_DRAWS = 100
 
 
-def random_partition_init(
-    data: np.ndarray, g: int, rng: np.random.Generator, return_labels: bool = False
-):
+def random_partition_init(data: np.ndarray, g: int, rng: np.random.Generator) -> MixtureParams:
     """Mixture start from a uniformly random partition of the data.
 
     Each observation gets an independent uniform label; block weights, means,
     and full covariances become the initial parameters.  Draws a fresh
     partition (up to ``_PARTITION_DRAWS`` in all) whenever some block has
-    fewer than d+1 points or a singular covariance.  With ``return_labels``
-    the accepted partition is returned too, so baselines can start from the
-    same split.
+    fewer than d+1 points or a singular covariance.  The component means are
+    the block means, where a k-means baseline on the same split starts.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
@@ -265,8 +262,7 @@ def random_partition_init(
             comps = tuple(Gaussian(*_fit_block(data[labels == z])) for z in range(g))
         except InvalidInputError:  # a block covariance Gaussian rejects: singular
             continue
-        params = MixtureParams(counts / n, comps)
-        return (params, labels) if return_labels else params
+        return MixtureParams(counts / n, comps)
     raise InitializationError(f"no valid random partition after {_PARTITION_DRAWS} attempts")
 
 
@@ -304,14 +300,12 @@ def _set_means(data: np.ndarray, labels: np.ndarray, blocks: list, centers: np.n
     centers[filled] = sums[filled] / counts[filled, None]
 
 
-def kmeans(
-    data: np.ndarray, g: int, epochs: int, init_labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def kmeans(data: np.ndarray, centers: np.ndarray, epochs: int) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd iterations with farthest-point reseeding of empty clusters.
 
-    Starts from the partition ``init_labels``, integers in [0, g), and runs
-    at most ``epochs`` assignment/update sweeps, stopping early at a fixed
-    point.  Other initial labels raise :class:`InvalidInputError`.  The
+    Starts from the finite (g, d) matrix ``centers``, g <= n, and runs at
+    most ``epochs`` >= 1 assignment/update sweeps, stopping early at a fixed
+    point; other starts raise :class:`InvalidInputError`.  The
     within-cluster sum of squares is asserted nonincreasing after every sweep.
 
     Every pass over the data goes by 1 MiB row blocks: the squared row
@@ -323,23 +317,23 @@ def kmeans(
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
-    if g > n:
+    centers = np.array(centers, dtype=float)
+    if centers.ndim != 2 or centers.shape[1] != d or not np.isfinite(centers).all():
+        raise InvalidInputError(f"k-means centres must form a finite (g, {d}) matrix")
+    g = len(centers)
+    if not 1 <= g <= n:
         raise InvalidInputError(f"cannot place {g} clusters on {n} points")
-    labels = np.asarray(init_labels).copy()
-    if labels.shape != (n,):
-        raise InvalidInputError("initial labels do not match the data")
-    if labels.dtype.kind not in "iu" or labels.min() < 0 or labels.max() >= g:
-        raise InvalidInputError(f"initial labels must be integers in [0, {g})")
+    if epochs < 1:
+        raise InvalidInputError(f"need at least one k-means sweep, got epochs={epochs}")
 
     step = _block_rows(1, d)
     blocks = [slice(start, start + step) for start in range(0, n, step)]
-    centers = np.tile(data.mean(axis=0), (g, 1))  # an empty cluster starts at the grand mean
-    _set_means(data, labels, blocks, centers)
     sq_norms = np.empty(n)
     for rows in blocks:
         block = data[rows]
         (block * block).sum(axis=1, out=sq_norms[rows])
     point_cost = np.empty(n)
+    labels = None
     prev_wcss = np.inf
     for _ in range(epochs):
         new_labels = np.empty(n, dtype=np.intp)
@@ -366,12 +360,11 @@ def kmeans(
             np.subtract(data[rows], diff, out=diff)
             wcss += float(np.einsum("ij,ij->", diff, diff))
         assert wcss <= prev_wcss + 1e-8 * max(1.0, abs(prev_wcss)), "WCSS increased"
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
+        if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
         prev_wcss = wcss
-    return labels, centers
+    return new_labels, centers
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +385,11 @@ def read_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
         table = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
         raise InvalidInputError(f"{path}: non-numeric cell: {exc}") from exc
-    return table[:, :-1], table[:, -1].astype(int)
+    classes = table[:, -1]
+    bad = classes[(classes != np.round(classes)) | (np.abs(classes) > 2.0**53)]
+    if bad.size:
+        raise InvalidInputError(f"{path}: class cell {bad[0]} is not an integer in [-2**53, 2**53]")
+    return table[:, :-1], classes.astype(int)
 
 
 def template_from_labeled_data(features: np.ndarray, classes: np.ndarray) -> MixtureParams:

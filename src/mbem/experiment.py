@@ -274,16 +274,16 @@ def _evaluate(theta, data, labels, theta_true) -> tuple[float, float, float]:
 
 
 def _run_task(args) -> RunRow:
-    """One grid cell from ``(variant, rep, init_theta, init_labels, config)``;
-    ``config.polyak`` picks the reported parameters, and k-means takes its
-    epoch budget from ``config``."""
-    variant, rep, init_theta, init_labels, config = args
+    """One grid cell from ``(variant, rep, init_theta, config)``;
+    ``config.polyak`` picks the reported parameters, and k-means starts from
+    ``init_theta.means()`` with its epoch budget from ``config``."""
+    variant, rep, init_theta, config = args
     data, labels, theta_true = _CTX
     n = data.shape[0]
     wall0, cpu0 = time.perf_counter(), time.process_time()
 
     if variant.name == "kmeans":
-        fitted, _ = kmeans(data, init_theta.g, config.epochs, init_labels=init_labels)
+        fitted, _ = kmeans(data, init_theta.means(), config.epochs)
         wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
         ari = adjusted_rand_index(fitted, labels) if labels is not None else float("nan")
         return RunRow(
@@ -323,7 +323,8 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     averaging when it ends in ``-polyak``.
 
     The data is the only data-sized array the grid holds: the sample is drawn
-    in place, and k-means and the evaluation pass work by row blocks.  A
+    in place, and k-means and the evaluation pass work by row blocks; a
+    repetition keeps only its init mixture, never its partition labels.  A
     serial grid clears its per-process context when it ends, also on error,
     so the data is released with the grid; pool workers hold their own copy
     for the life of the pool.
@@ -333,7 +334,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     inits = []
     for rep in range(spec.repetitions):
         rng = np.random.default_rng(derive_seed(spec.master_seed, "init", rep))
-        inits.append(random_partition_init(data, spec.g, rng, return_labels=True))
+        inits.append(random_partition_init(data, spec.g, rng))
     tasks = []
     for variant in spec.variants:
         frac = variant.fraction
@@ -346,7 +347,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
                 polyak=variant.name.endswith("-polyak"),
                 seed=derive_seed(spec.master_seed, variant.vid, rep),
             )
-            tasks.append((variant, rep, *inits[rep], config))
+            tasks.append((variant, rep, inits[rep], config))
     if spec.workers <= 1:
         _init_worker(data, labels, theta_true)
         try:

@@ -173,7 +173,7 @@ def _check_symmetric(m: np.ndarray) -> bool:
     return float(np.max(np.abs(m - m.T))) <= _SYM_TOL * scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Gaussian:
     """Multivariate normal component: mean vector and full SPD covariance.
 
@@ -184,7 +184,7 @@ class Gaussian:
 
     mean: np.ndarray
     cov: np.ndarray
-    chol: np.ndarray = field(init=False, repr=False, compare=False)
+    chol: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mean = np.atleast_1d(np.array(self.mean, dtype=float))
@@ -251,7 +251,7 @@ _FAMILY_TAGS = {Gaussian: "gaussian", Exponential: "exponential", Poisson: "pois
 # mixture parameter vector
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixtureParams:
     """Full mixture parameter vector: mixing weights plus component parameters.
 

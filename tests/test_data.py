@@ -303,14 +303,6 @@ def test_partition_init_block_fractions(rng):
     assert np.all(np.abs(init.weights - 1 / g) <= 3 * se)
 
 
-def test_partition_init_returns_labels(rng):
-    theta = make_gaussian_mixture(rng, 1, 1)
-    data, _ = sample(theta, 60, rng)
-    params, labels = random_partition_init(data, 2, np.random.default_rng(9), return_labels=True)
-    counts = np.bincount(labels, minlength=2)
-    np.testing.assert_allclose(params.weights, counts / 60, atol=1e-15)
-
-
 def test_partition_init_factorises_each_block_once(rng, monkeypatch):
     theta = make_gaussian_mixture(rng, 2, 3)
     data, _ = sample(theta, 300, rng)
@@ -335,6 +327,13 @@ def test_partition_init_retries_exhausted():
 # k-means
 # ---------------------------------------------------------------------------
 
+def _block_means(data, g, labels):
+    """k-means centres of the partition ``labels``: each block's mean, or the
+    grand mean for an empty block."""
+    return np.stack([data[labels == z].mean(axis=0) if np.any(labels == z) else data.mean(axis=0)
+                     for z in range(g)])
+
+
 def test_kmeans_separated_clouds(rng):
     theta = MixtureParams(
         [0.5, 0.5],
@@ -342,7 +341,7 @@ def test_kmeans_separated_clouds(rng):
     )
     data, labels = sample(theta, 500, rng)
     start = np.random.default_rng(2).integers(0, 2, 500)
-    fitted, centers = kmeans(data, 2, epochs=20, init_labels=start)
+    fitted, centers = kmeans(data, _block_means(data, 2, start), epochs=20)
     assert adjusted_rand_index(fitted, labels) == 1.0
     assert centers.shape == (2, 2)
 
@@ -350,7 +349,7 @@ def test_kmeans_separated_clouds(rng):
 def test_kmeans_each_point_its_own_center(rng):
     data = rng.normal(0, 5, (6, 2))
     start = np.random.default_rng(1).integers(0, 6, 6)
-    labels, centers = kmeans(data, 6, epochs=30, init_labels=start)
+    labels, centers = kmeans(data, _block_means(data, 6, start), epochs=30)
     wcss = ((data - centers[labels]) ** 2).sum()
     assert wcss == pytest.approx(0.0, abs=1e-20)
 
@@ -358,28 +357,26 @@ def test_kmeans_each_point_its_own_center(rng):
 def test_kmeans_fixed_point_keeps_labels(rng):
     data = np.array([[0.0], [0.2], [10.0], [10.3]])
     start = np.array([0, 0, 1, 1])
-    labels, _ = kmeans(data, 2, epochs=1, init_labels=start)
+    labels, _ = kmeans(data, _block_means(data, 2, start), epochs=1)
     assert np.array_equal(labels, start)
 
 
 def test_kmeans_honors_init_labels_and_is_deterministic(rng):
     theta = make_gaussian_mixture(rng, 2, 3)
     data, _ = sample(theta, 300, rng)
-    init = np.random.default_rng(4).integers(0, 3, 300)
-    a, ca = kmeans(data, 3, epochs=10, init_labels=init)
-    b, cb = kmeans(data, 3, epochs=10, init_labels=init)
+    init = _block_means(data, 3, np.random.default_rng(4).integers(0, 3, 300))
+    a, ca = kmeans(data, init, epochs=10)
+    b, cb = kmeans(data, init, epochs=10)
     assert np.array_equal(a, b) and np.array_equal(ca, cb)
 
 
-def _full_array_kmeans(data, g, epochs, init_labels):
+def _full_array_kmeans(data, centers, epochs):
     """Lloyd sweeps on whole-data arrays: (n, d) squared norms, one (n, g)
     distance matrix per sweep and first-minimum labels, the same reseeding
     and update rules as :func:`kmeans`."""
-    n = data.shape[0]
-    labels = init_labels.copy()
-    counts = np.bincount(labels, minlength=g)
-    centers = np.stack([data[labels == z].mean(axis=0) if counts[z] else data.mean(axis=0)
-                        for z in range(g)])
+    n, g = data.shape[0], len(centers)
+    centers = centers.copy()
+    labels = None
     sq_norms = (data * data).sum(axis=1)
     for _ in range(epochs):
         dist = sq_norms[:, None] - 2.0 * (data @ centers.T) + (centers * centers).sum(axis=1)
@@ -393,7 +390,7 @@ def _full_array_kmeans(data, g, epochs, init_labels):
         for z in range(g):
             if np.any(new_labels == z):
                 centers[z] = data[new_labels == z].mean(axis=0)
-        if np.array_equal(new_labels, labels):
+        if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
     return new_labels, centers
@@ -406,9 +403,9 @@ def test_kmeans_equals_full_array_reference(d, g):
     for n in (g + 1, block - 1, block + 1, 2 * block + 3):
         rng = np.random.default_rng(n + d)
         data, _ = sample(make_gaussian_mixture(rng, d, g), n, rng)
-        init = rng.integers(0, g, n)
-        got = kmeans(data, g, 6, init_labels=init)
-        ref = _full_array_kmeans(data, g, 6, init)
+        init = _block_means(data, g, rng.integers(0, g, n))
+        got = kmeans(data, init, 6)
+        ref = _full_array_kmeans(data, init, 6)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
@@ -422,11 +419,11 @@ def test_kmeans_builds_no_data_sized_temporary():
     )
     data, labels = sample(theta, n, np.random.default_rng(8))
     rng = np.random.default_rng(9)
-    init = np.where(rng.random(n) < 0.1, rng.integers(0, g, n), labels)
+    init = _block_means(data, g, np.where(rng.random(n) < 0.1, rng.integers(0, g, n), labels))
     bound = 0.5 * data.nbytes  # fixed before measuring
     tracemalloc.start()
     try:
-        kmeans(data, g, epochs=2, init_labels=init)
+        kmeans(data, init, epochs=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -444,11 +441,11 @@ def test_kmeans_holds_per_row_vectors_and_blocks():
     )
     data, labels = sample(theta, n, np.random.default_rng(8))
     rng = np.random.default_rng(9)
-    init = np.where(rng.random(n) < 0.1, rng.integers(0, g, n), labels)
+    init = _block_means(data, g, np.where(rng.random(n) < 0.1, rng.integers(0, g, n), labels))
     bound = 5 * 8 * n + 2 * 2**20  # fixed before measuring
     tracemalloc.start()
     try:
-        kmeans(data, g, epochs=2, init_labels=init)
+        kmeans(data, init, epochs=2)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -456,20 +453,16 @@ def test_kmeans_holds_per_row_vectors_and_blocks():
 
 
 def test_kmeans_validation():
+    with pytest.raises(InvalidInputError):  # g > n
+        kmeans(np.zeros((2, 1)), np.zeros((5, 1)), epochs=1)
+    with pytest.raises(InvalidInputError):  # centres of the wrong width
+        kmeans(np.zeros((5, 1)), np.zeros((2, 2)), epochs=1)
     with pytest.raises(InvalidInputError):
-        kmeans(np.zeros((2, 1)), 5, epochs=1, init_labels=np.zeros(2, dtype=int))
+        kmeans(np.zeros((5, 2)), np.array([[0.0, 0.0], [np.nan, 1.0]]), epochs=1)
     with pytest.raises(InvalidInputError):
-        kmeans(np.zeros((5, 1)), 2, epochs=1, init_labels=np.zeros(4, dtype=int))
-
-
-@pytest.mark.parametrize("start", [
-    [0, 1, -1, 0],  # np.bincount would raise its own ValueError
-    [0, 1, 2, 0],  # label g: its points would seed no centre
-    [0.0, 1.0, 1.0, 0.0],
-], ids=["negative", "g", "float"])
-def test_kmeans_rejects_labels_outside_components(start):
-    with pytest.raises(InvalidInputError, match=r"integers in \[0, 2\)"):
-        kmeans(np.arange(8.0).reshape(4, 2), 2, epochs=1, init_labels=np.array(start))
+        kmeans(np.zeros((5, 2)), np.array([[0.0, 0.0], [np.inf, 1.0]]), epochs=1)
+    with pytest.raises(InvalidInputError):
+        kmeans(np.zeros((5, 1)), np.zeros((2, 1)), epochs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +499,11 @@ def test_read_labeled_csv_rejects_garbage(tmp_path):
     path.write_text("a,b,cls\n1.0,oops,0\n")
     with pytest.raises(InvalidInputError):
         read_labeled_csv(path)
+    for cell in ("0.5", "nan", "inf", "1e300"):  # astype(int) would make 0.5 class 0
+        fractional = tmp_path / "fractional.csv"
+        fractional.write_text(f"a,b,cls\n1.0,2.0,0\n3.0,4.0,{cell}\n")
+        with pytest.raises(InvalidInputError, match="fractional.csv"):
+            read_labeled_csv(fractional)
     empty = tmp_path / "empty.csv"
     empty.write_text("")
     with pytest.raises(InvalidInputError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from mbem.cli import main as cli_main
-from mbem.data import IdxImageSet, random_partition_init, write_idx
+from mbem.data import IdxImageSet, kmeans, random_partition_init, write_idx
 from mbem.engine import LearningRate, RunConfig, run
 from mbem.experiment import (
     RESULTS_COLUMNS,
@@ -128,7 +128,8 @@ def test_nine_variant_grid_shape():
 
 
 @pytest.mark.parametrize(
-    "variant", [VariantSpec("em"), VariantSpec("mb-polyak", 0.25)], ids=lambda v: v.vid
+    "variant", [VariantSpec("em"), VariantSpec("mb-polyak", 0.25), VariantSpec("kmeans")],
+    ids=lambda v: v.vid,
 )
 def test_single_em_row_matches_manual_run(variant):
     spec = _small_spec(reps=1, variants=(variant,), seed=5)
@@ -139,6 +140,11 @@ def test_single_em_row_matches_manual_run(variant):
     # match the public metrics bit for bit
     data, labels, theta_true = resolve_source(spec)
     init = random_partition_init(data, 3, np.random.default_rng(derive_seed(5, "init", 0)))
+    if variant.name == "kmeans":
+        # k-means starts from the shared init's means, its partition's block means
+        assert row.status == "ok"
+        assert row.ari == adjusted_rand_index(kmeans(data, init.means(), 3)[0], labels)
+        return
     if variant.name == "em":
         config = RunConfig(epochs=3, seed=derive_seed(5, "em", 0))
     else:
@@ -198,6 +204,28 @@ def test_serial_grid_releases_its_data(tmp_path):
     assert peaks[1] <= peaks[0] + slack
 
 
+def test_serial_grid_memory_does_not_grow_with_repetitions():
+    # iris template, batch EM for one epoch: a grid that kept each
+    # repetition's partition labels (8 bytes per row) would peak about 19
+    # label vectors higher at 20 repetitions than at one
+    n = 20_000
+    peaks = []
+    tracemalloc.start()
+    try:
+        for reps in (1, 20):
+            spec = ExperimentSpec(
+                source=TemplateSource(str(IRIS_CSV), n), g=3, variants=(VariantSpec("em"),),
+                repetitions=reps, master_seed=1, epochs=1,
+            )
+            tracemalloc.reset_peak()
+            run_experiment(spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    bound = peaks[0] + 2 * 8 * n  # two label vectors, fixed before measuring
+    assert peaks[1] <= bound
+
+
 def test_shared_initialization_across_variants():
     # both variants consume the same per-rep initialization, so the batch-EM
     # trajectory is identical whether or not other variants run
@@ -240,7 +268,7 @@ def test_failed_run_recorded_not_fatal():
     config = RunConfig(
         epochs=3, batch_size=round(0.25 * len(data)), learning_rate=LearningRate(0.9, 0.6), seed=7
     )
-    row = _run_task((VariantSpec("mb", 0.25), 0, bad_init, None, config))
+    row = _run_task((VariantSpec("mb", 0.25), 0, bad_init, config))
     assert row.status.startswith("error:")
     assert math.isnan(row.loglik)
 
@@ -596,13 +624,14 @@ def test_idx_load_holds_one_float_chunk(tmp_path):
 
 @pytest.mark.parametrize("command, option, content", [
     ("simulate", "--template", None), ("simulate", "--template", "a,b,cls\n1.0,oops,0\n"),
+    ("simulate", "--template", "a,b,cls\n1,2,0\n3,1,0\n2,5,0\n4,4,0.5\n"),
     ("simulate", "--theta", None), ("simulate", "--theta", '{"family": "gaussian"}'),
     ("simulate", "--theta", '{"family": "gaussian",'), ("simulate", "--theta", "[1, 2]"),
     ("mnist", "--images", None), ("mnist", "--images", "not an idx file"),
     ("mnist", "--labels", None),
-], ids=["template-missing", "template-malformed", "theta-missing", "theta-no-components",
-        "theta-not-json", "theta-not-object", "images-missing", "images-malformed",
-        "labels-missing"])
+], ids=["template-missing", "template-malformed", "template-fractional-class", "theta-missing",
+        "theta-no-components", "theta-not-json", "theta-not-object", "images-missing",
+        "images-malformed", "labels-missing"])
 def test_cli_unreadable_data_file_is_a_usage_error(tmp_path, capsys, command, option, content):
     # a data file that cannot be opened or parsed exits with status 2 and a
     # message that names it, not with a traceback

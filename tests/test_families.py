@@ -102,6 +102,21 @@ def test_gaussian_keeps_its_validation_factor():
         Gaussian([0.0], [[1.0]], chol=np.eye(1))
 
 
+def test_array_parameters_compare_and_hash_by_identity():
+    # tuples of arrays have no truth value: equal-valued objects are distinct
+    def build():
+        return MixtureParams(
+            [0.5, 0.5], (Gaussian([0.0, 0.0], np.eye(2)), Gaussian([1.0, 1.0], np.eye(2)))
+        )
+
+    a, b = build(), build()
+    for x, y in ((a.components[0], b.components[0]), (a, b)):
+        assert (x == y) is False and x != y
+        assert x == x
+        assert len({x, y}) == 2  # both hash
+    assert Exponential(2.0) == Exponential(2.0)  # rate components keep value equality
+
+
 def test_rates_must_be_positive():
     for cls in (Exponential, Poisson):
         with pytest.raises(InvalidInputError):

@@ -26,9 +26,10 @@ def test_readme_quick_start_runs(capsys):
     block = re.search(r"```python\n(.*?)```", README.read_text(), re.DOTALL)
     assert block is not None
     exec(compile(block.group(1), str(README), "exec"), {})
-    loglik, ari = (float(line) for line in capsys.readouterr().out.split())
+    loglik, ari, kmeans_ari = (float(line) for line in capsys.readouterr().out.split())
     assert loglik < 0.0
     assert ari > 0.99
+    assert kmeans_ari > 0.99
 
 
 _SCIPY_PARTS_SCRIPT = """

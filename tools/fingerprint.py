@@ -1,11 +1,12 @@
-"""Bit fingerprint of mbem's results, for checking that a change keeps them.
+r"""Bit fingerprint of mbem's results, for checking that a change keeps them.
 
 Prints one JSON object that maps each case to sha256 digests of its arrays:
 
 * ``sample/...``, ``init/...`` and ``kmeans/...``: :func:`mbem.sample`,
-  :func:`mbem.data.random_partition_init` and :func:`mbem.data.kmeans` at
-  row counts on both sides of one, two and five row chunks of
-  ``_block_rows(1, d)`` rows (1 MiB), at d = 1, 4 and 50;
+  :func:`mbem.data.random_partition_init` and :func:`mbem.data.kmeans`
+  (started from the init's component means) at row counts on both sides of
+  one, two and five row chunks of ``_block_rows(1, d)`` rows (1 MiB), at
+  d = 1, 4 and 50;
 * ``run/...``: every field of a :class:`mbem.RunRecord` but its timings
   (and the iterates, kept only on request), over 54 runs: d = 1, 4 and 50; batch EM and batch sizes 1, 2, 10 and
   500; truncated or not (mini-batch only) and Polyak-averaged or not.  A
@@ -17,6 +18,18 @@ two commits; equal outputs mean no result bit moved::
     python tools/fingerprint.py > before.json   # at the parent commit
     python tools/fingerprint.py > after.json    # at the change
     diff before.json after.json
+
+Across a change of what a case digests, compare the common part instead.
+At commits where :func:`mbem.data.kmeans` still took partition labels,
+``init/...`` held a pair: the init's digest and the digest of its labels,
+from which ``kmeans/...`` started.  Now ``init/...`` is the init's digest
+alone, and k-means starts from the init's means, which are the partition's
+block means.  With ``before.json`` from the older tool at such a commit
+and ``after.json`` from this tool, no bit moved when this exits with 0::
+
+    python -c "import json,sys; a,b=(json.load(open(p)) for p in sys.argv[1:]); \
+a={k:(v[0] if k.startswith('init/') else v) for k,v in a.items()}; sys.exit(a!=b)" \
+        before.json after.json
 
 BLAS is pinned to one thread, since a grid's bits depend on the thread
 count at some shapes.  It takes about a minute on one core.
@@ -87,9 +100,9 @@ def setup_cases() -> dict:
                 key = f"{d}-{g}-{n}"
                 data, labels = sample(theta, n, np.random.default_rng(n))
                 out[f"sample/{key}"] = digest(data, labels)
-                init, parts = random_partition_init(data, g, np.random.default_rng(1), return_labels=True)
-                out[f"init/{key}"] = [theta_digest(init), digest(parts)]
-                found, centers = kmeans(data, g, 5, init_labels=parts)
+                init = random_partition_init(data, g, np.random.default_rng(1))
+                out[f"init/{key}"] = theta_digest(init)
+                found, centers = kmeans(data, init.means(), 5)
                 out[f"kmeans/{key}"] = digest(found, centers)
     return out
 
