@@ -14,7 +14,6 @@ from .engine import (
     batch_em_step,
     minibatch_step,
     polyak_update,
-    region_contains,
     reset_stat,
     run,
 )
@@ -24,7 +23,6 @@ from .families import (
     MixtureParams,
     Poisson,
     SuffStats,
-    log_density,
     mean_sbar,
     sample,
     theta_bar,
@@ -51,12 +49,10 @@ __all__ = [
     "adjusted_rand_index",
     "batch_em_step",
     "dataset_loglik",
-    "log_density",
     "map_labels",
     "mean_sbar",
     "minibatch_step",
     "polyak_update",
-    "region_contains",
     "reset_stat",
     "run",
     "sample",

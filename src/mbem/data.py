@@ -130,22 +130,6 @@ def read_idx(images, labels=None) -> IdxImageSet:
     return IdxImageSet(pixels=pixels, rows=rows, cols=cols, labels=label_vec)
 
 
-def write_idx(dataset: IdxImageSet, images_path, labels_path=None) -> None:
-    """Write an image set (and optionally its labels) back to IDX files."""
-    n = dataset.n
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">BBBB", 0, 0, _IDX_UBYTE, 3))
-        f.write(struct.pack(">III", n, dataset.rows, dataset.cols))
-        f.write(np.ascontiguousarray(dataset.pixels, dtype=np.uint8).tobytes())
-    if labels_path is not None:
-        if dataset.labels is None:
-            raise InvalidInputError("dataset has no labels to write")
-        with open(labels_path, "wb") as f:
-            f.write(struct.pack(">BBBB", 0, 0, _IDX_UBYTE, 1))
-            f.write(struct.pack(">I", n))
-            f.write(np.ascontiguousarray(dataset.labels, dtype=np.uint8).tobytes())
-
-
 def drop_constant_pixels(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Remove columns that are identical across all rows.
 
@@ -372,13 +356,28 @@ def kmeans(data: np.ndarray, centers: np.ndarray, epochs: int) -> tuple[np.ndarr
 # ---------------------------------------------------------------------------
 
 def read_labeled_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a header + numeric-features + final-integer-class CSV."""
+    """Read a header + numeric-features + final-integer-class CSV.
+
+    A header without a feature column, or a row whose cell count differs
+    from the header's, raises :class:`InvalidInputError` naming the file and
+    the 1-based line.
+    """
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header is None:
             raise InvalidInputError(f"{path}: empty CSV")
-        rows = [row for row in reader if row]
+        if len(header) < 2:
+            raise InvalidInputError(f"{path}: line 1: the header names no feature column")
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise InvalidInputError(
+                    f"{path}: line {reader.line_num}: {len(row)} cells, header has {len(header)}"
+                )
+            rows.append(row)
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     try:
@@ -399,6 +398,8 @@ def template_from_labeled_data(features: np.ndarray, classes: np.ndarray) -> Mix
     same convention the EM M-step uses.
     """
     features = np.asarray(features, dtype=float)
+    if features.ndim != 2 or features.shape[1] < 1:
+        raise InvalidInputError(f"features need at least one column, got shape {features.shape}")
     ids = np.unique(classes)
     comps = []
     for cid in ids:

@@ -121,13 +121,9 @@ class TruncationRegion:
         return replace(self, m=self.m + 1)
 
 
-def region_contains(theta: MixtureParams, region: TruncationRegion) -> bool:
-    """Membership test of a parameter vector in the region at its current index."""
-    return _inside(_stack(theta), region)
-
-
 def _inside(p: _Stacked, region: TruncationRegion) -> bool:
-    """:func:`region_contains` on stacked arrays: one batched ``eigvalsh``.
+    """Whether a parameter stack lies in the region at its current index;
+    one batched ``eigvalsh``.
 
     Each bound is tested on one extreme value.  As in an elementwise test, a
     NaN weight or mean coordinate is never out of bounds (``fmin``/``fmax``

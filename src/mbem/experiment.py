@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
@@ -250,6 +251,10 @@ RESULTS_SCHEMA_VERSION = 1
 # Heavy arrays live in a per-process context so worker pools pickle them once.
 _CTX = None
 
+#: Thread-count variables that NumPy's and SciPy's OpenBLAS builds (and MKL
+#: or OpenMP builds) read when they load.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _init_worker(data, labels, theta_true):
     global _CTX
@@ -328,6 +333,10 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     serial grid clears its per-process context when it ends, also on error,
     so the data is released with the grid; pool workers hold their own copy
     for the life of the pool.
+
+    Pool workers are spawned, not forked, with one BLAS thread each whatever
+    the launching environment sets, since the E-step's last bits can depend
+    on the thread count; the parent's environment is restored afterwards.
     """
     data, labels, theta_true = resolve_source(spec)
     n = data.shape[0]
@@ -358,14 +367,25 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
             _CTX = None
     else:
         # Imported here, so that serial grids do not load the pool machinery.
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(
-            max_workers=spec.workers,
-            initializer=_init_worker,
-            initargs=(data, labels, theta_true),
-        ) as pool:
-            rows = list(pool.map(_run_task, tasks))
+        saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+        try:
+            with ProcessPoolExecutor(
+                max_workers=spec.workers,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_init_worker,
+                initargs=(data, labels, theta_true),
+            ) as pool:
+                rows = list(pool.map(_run_task, tasks))
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
     return rows
 
 

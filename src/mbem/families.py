@@ -32,7 +32,8 @@ calls directly: ``_estep`` takes validated rows and a factored parameter
 stack (``_Stacked``) to the statistic blocks ``(mass, moment1, moment2)``,
 and ``_mstep`` takes those blocks to a factored stack, with one Cholesky
 factorisation per component that the next E-step reuses.  ``_stats``
-inverts ``_mstep`` on a stack, behind :func:`stats_from_params`, and
+inverts ``_mstep`` on a stack, giving the unit-mass statistic whose M-step
+image is the stack (s1 = pi, s2 = pi mu, S3 = pi (Sigma + mu mu^T)), and
 ``_blend`` is the one stochastic-approximation blend of two block triples.
 
 Every row pass walks its rows through one generator, ``_weighted_blocks``.
@@ -136,11 +137,6 @@ def _triu(d: int) -> tuple:
     rows, cols = np.triu_indices(d)
     rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
-
-
-def pack_symmetric(m: np.ndarray) -> np.ndarray:
-    """Return the upper triangle of a symmetric matrix as a length d(d+1)/2 vector."""
-    return np.asarray(m, dtype=float)[_triu(m.shape[0])]
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +337,8 @@ class SuffStats:
 
     ``mass`` holds the responsibility mass s1 (g,), ``moment1`` the weighted
     first moment s2 (g, d), and ``moment2`` the weighted second moment S3 in
-    packed-symmetric layout (g, d(d+1)/2).  Rate families carry no second
+    packed-symmetric layout (g, d(d+1)/2): each row is the upper triangle,
+    ``S3[np.triu_indices(d)]``.  Rate families carry no second
     moment (``moment2 is None``) and use d = 1.
     """
 
@@ -621,11 +618,6 @@ def log_densities(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     return _density_pass(y, theta)[0]
 
 
-def log_density(y: np.ndarray, theta: MixtureParams) -> float:
-    """Log mixture density log sum_z pi_z f(y; omega_z) at a single point."""
-    return float(log_densities(np.asarray(y, dtype=float).reshape(1, -1), theta)[0])
-
-
 def responsibilities_batch(y: np.ndarray, theta: MixtureParams) -> np.ndarray:
     """(n, g) posterior component probabilities, computed in log space.
 
@@ -781,18 +773,11 @@ def theta_bar(stats: SuffStats, family: str) -> MixtureParams:
     return _mstep((stats.mass, stats.moment1, stats.moment2), family).mixture()
 
 
-def stats_from_params(theta: MixtureParams) -> SuffStats:
-    """A unit-mass statistic vector whose M-step image is ``theta``.
-
-    Inverts the M-step map with total mass fixed at one: s1 = pi,
-    s2 = pi * mu, S3 = pi * (Sigma + mu mu^T) for the normal family, and the
-    rate-family analogues.
-    """
-    return SuffStats(*_stats(_stack(theta)))
-
-
 def _stats(p: _Stacked) -> tuple:
-    """:func:`stats_from_params` on a stack: ``(mass, moment1, moment2)``."""
+    """A unit-mass statistic ``(mass, moment1, moment2)`` whose M-step image
+    is the stack: the M-step map inverted with total mass fixed at one,
+    s1 = pi, s2 = pi * mu, S3 = pi * (Sigma + mu mu^T) for the normal
+    family, and s2 = pi / rate (exponential) or pi * rate (Poisson)."""
     w = p.weights
     if p.family == "gaussian":
         rows, cols = _triu(p.means.shape[1])

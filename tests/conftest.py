@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
-from mbem.families import Gaussian, MixtureParams, sample
+from mbem.engine import _inside
+from mbem.families import Gaussian, MixtureParams, SuffStats, _stack, _stats, log_densities, sample
 
 
 def make_gaussian_mixture(rng, d, g, weight_floor=0.15):
@@ -39,6 +42,34 @@ def random_instance(rng, max_d=2, max_g=3, n=60):
     theta = make_gaussian_mixture(rng, d, g)
     data, labels = sample(theta, n, rng)
     return data, labels, theta
+
+
+def region_contains(theta, region):
+    """Whether ``theta`` lies in ``region`` at its current index: the
+    engine's own test, on the parameters' stack."""
+    return _inside(_stack(theta), region)
+
+
+def log_density(y, theta):
+    """Log mixture density at a single point: its one-row density pass."""
+    return float(log_densities(np.asarray(y, dtype=float).reshape(1, -1), theta)[0])
+
+
+def stats_from_params(theta):
+    """The unit-mass statistic whose M-step image is ``theta``."""
+    return SuffStats(*_stats(_stack(theta)))
+
+
+def write_idx(dataset, images_path, labels_path=None):
+    """Write an ``IdxImageSet``, and its labels when ``labels_path`` is
+    given, as unsigned-byte IDX files."""
+    with open(images_path, "wb") as f:
+        f.write(struct.pack(">BBBBIII", 0, 0, 0x08, 3, dataset.n, dataset.rows, dataset.cols))
+        f.write(np.ascontiguousarray(dataset.pixels, dtype=np.uint8).tobytes())
+    if labels_path is not None:
+        with open(labels_path, "wb") as f:
+            f.write(struct.pack(">BBBBI", 0, 0, 0x08, 1, dataset.n))
+            f.write(np.ascontiguousarray(dataset.labels, dtype=np.uint8).tobytes())
 
 
 @pytest.fixture

@@ -17,13 +17,12 @@ from mbem.data import (
     read_idx,
     read_labeled_csv,
     template_from_labeled_data,
-    write_idx,
 )
 from mbem.errors import IdxFormatError, InitializationError, InvalidInputError
 from mbem.families import Gaussian, MixtureParams, sample
 from mbem.metrics import adjusted_rand_index
 
-from conftest import count_cholesky, make_gaussian_mixture
+from conftest import count_cholesky, make_gaussian_mixture, write_idx
 
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
 
@@ -508,3 +507,25 @@ def test_read_labeled_csv_rejects_garbage(tmp_path):
     empty.write_text("")
     with pytest.raises(InvalidInputError):
         read_labeled_csv(empty)
+
+
+def test_read_labeled_csv_names_the_line_of_a_ragged_row(tmp_path):
+    # a short row, and a long one after a blank line; rows that agree with
+    # one another but not with the header are ragged too
+    path = tmp_path / "ragged.csv"
+    for body, line in (("1.0,2.0,0\n3.0,1\n", 3), ("1.0,2.0,0\n\n3.0,4.0,5.0,1\n", 4)):
+        path.write_text("a,b,cls\n" + body)
+        with pytest.raises(InvalidInputError, match=rf"ragged\.csv: line {line}: "):
+            read_labeled_csv(path)
+    path.write_text("a,cls\n1.0,2.0,0\n3.0,4.0,1\n")
+    with pytest.raises(InvalidInputError, match=r"ragged\.csv: line 2: 3 cells, header has 2"):
+        read_labeled_csv(path)
+
+
+def test_featureless_template_is_rejected(tmp_path):
+    path = tmp_path / "classes.csv"
+    path.write_text("cls\n0\n0\n1\n1\n")
+    with pytest.raises(InvalidInputError, match=r"classes\.csv: line 1: "):
+        read_labeled_csv(path)
+    with pytest.raises(InvalidInputError, match="column"):
+        template_from_labeled_data(np.empty((4, 0)), np.array([0, 0, 1, 1]))

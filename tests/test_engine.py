@@ -15,7 +15,6 @@ from mbem.engine import (
     batch_em_step,
     minibatch_step,
     polyak_update,
-    region_contains,
     reset_stat,
     run,
 )
@@ -33,13 +32,12 @@ from mbem.families import (
     Poisson,
     mean_sbar,
     sample,
-    stats_from_params,
     theta_bar,
 )
 from mbem.families import _blend
 from mbem.metrics import dataset_loglik
 
-from conftest import make_gaussian_mixture
+from conftest import make_gaussian_mixture, region_contains, stats_from_params
 
 
 def _params_equal(a: MixtureParams, b: MixtureParams) -> bool:

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import numpy as np
 import pytest
 
 from mbem.cli import main as cli_main
-from mbem.data import IdxImageSet, kmeans, random_partition_init, write_idx
+from mbem.data import IdxImageSet, kmeans, random_partition_init
 from mbem.engine import LearningRate, RunConfig, run
 from mbem.experiment import (
     RESULTS_COLUMNS,
@@ -34,6 +37,8 @@ from mbem.experiment import (
 from mbem.errors import DegeneratePointError, InvalidInputError
 from mbem.families import Exponential, Gaussian, MixtureParams, params_to_dict
 from mbem.metrics import adjusted_rand_index, dataset_loglik, map_labels
+
+from conftest import make_gaussian_mixture, write_idx
 
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
 
@@ -312,6 +317,29 @@ def test_results_csv_deterministic_across_reruns_and_workers(tmp_path):
         write_results_csv(rows, path)
         texts.append(_strip_timing(path.read_text()))
     assert texts[0] == texts[1] == texts[2]
+
+
+def test_pool_workers_run_one_blas_thread_whatever_the_shell_sets(tmp_path, rng):
+    # d = 50, g = 10: each 500-row batch spans two E-step blocks (262 rows),
+    # whose scatter GEMMs OpenBLAS splits across threads, so a worker that
+    # took the launching shell's default thread count would move the bits
+    theta = tmp_path / "theta.json"
+    theta.write_text(json.dumps(params_to_dict(make_gaussian_mixture(rng, 50, 10))))
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    texts = []
+    for workers, threads in (("1", {var: "1" for var in blas}), ("2", {})):
+        env = {k: v for k, v in os.environ.items() if k not in blas} | threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = tmp_path / f"workers_{workers}"
+        subprocess.run(
+            [sys.executable, "-m", "mbem.cli", "simulate", "--theta", str(theta), "--n", "2000",
+             "--epochs", "1", "--batch-frac", "0.25", "--variant", "em", "--variant", "mb",
+             "--reps", "2", "--workers", workers, "--out-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        texts.append(_strip_timing((out / "results.csv").read_text()))
+    assert texts[0] == texts[1]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from mbem.metrics import (
     squared_error,
 )
 
-from conftest import make_gaussian_mixture
+from conftest import log_density, make_gaussian_mixture
 
 STD_NORMAL_1D = MixtureParams([1.0], (Gaussian([0.0], [[1.0]]),))
 
@@ -29,8 +29,6 @@ STD_NORMAL_1D = MixtureParams([1.0], (Gaussian([0.0], [[1.0]]),))
 # ---------------------------------------------------------------------------
 
 def test_loglik_single_point_equals_log_density(rng):
-    from mbem.families import log_density
-
     theta = make_gaussian_mixture(rng, 2, 2)
     y = rng.normal(0, 1, (1, 2))
     assert dataset_loglik(y, theta) == log_density(y[0], theta)

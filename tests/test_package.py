@@ -20,6 +20,14 @@ def test_star_import_and_all_names_resolve():
         assert namespace[name] is getattr(mbem, name)
 
 
+def test_readme_documents_every_public_name():
+    # each name the star import gives appears in README's code: an inline
+    # code span or a fenced block
+    code = re.findall(r"```.*?```|`[^`\n]+`", README.read_text(), re.DOTALL)
+    named = set(re.findall(r"\w+", " ".join(code)))
+    assert sorted(set(mbem.__all__) - named) == []
+
+
 def test_readme_quick_start_runs(capsys):
     # the first python block of the README is the library quick start: it
     # spells the public API, so a renamed or deleted name fails here

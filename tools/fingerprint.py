@@ -10,7 +10,14 @@ Prints one JSON object that maps each case to sha256 digests of its arrays:
 * ``run/...``: every field of a :class:`mbem.RunRecord` but its timings
   (and the iterates, kept only on request), over 54 runs: d = 1, 4 and 50; batch EM and batch sizes 1, 2, 10 and
   500; truncated or not (mini-batch only) and Polyak-averaged or not.  A
-  run that fails records its error type and message instead.
+  run that fails records its error type and message instead;
+* ``dataset_loglik/...``, ``map_labels/...``, ``log_densities/...`` and
+  ``responsibilities_batch/...``: the evaluation pass of
+  :mod:`mbem.metrics` and :mod:`mbem.families` at the generating mixture,
+  at d = 1, 4 and 50 and g = 3 and 10, on ``k * _block_rows(g, d)`` rows
+  and one row more, for k = 1 and 2.  The extra row is a one-row last
+  block, which carries a stale second column so that NumPy does not sum a
+  lone column pairwise (it does from g = 8 on).
 
 Run it from a checkout, on that checkout's ``src``, and diff the outputs of
 two commits; equal outputs mean no result bit moved::
@@ -54,7 +61,8 @@ from mbem import Gaussian, MixtureParams, RunConfig, TruncationRegion  # noqa: E
 from mbem import run, sample  # noqa: E402
 from mbem.data import kmeans, random_partition_init  # noqa: E402
 from mbem.errors import EngineRunError  # noqa: E402
-from mbem.families import _block_rows  # noqa: E402
+from mbem.families import _block_rows, log_densities, responsibilities_batch  # noqa: E402
+from mbem.metrics import dataset_loglik, map_labels  # noqa: E402
 
 #: (d, g, n) of the engine runs; n leaves every batch size at most n.
 RUN_SHAPES = ((1, 3, 2000), (4, 3, 2000), (50, 3, 1000))
@@ -142,8 +150,24 @@ def run_cases() -> dict:
     return out
 
 
+def eval_cases() -> dict:
+    out = {}
+    for d in (1, 4, 50):
+        for g in (3, 10):
+            theta = mixture(d, g, 5)
+            b = _block_rows(g, d)
+            for n in (b, b + 1, 2 * b, 2 * b + 1):
+                key = f"{d}-{g}-{n}"
+                data, _ = sample(theta, n, np.random.default_rng(n))
+                out[f"dataset_loglik/{key}"] = digest(np.float64(dataset_loglik(data, theta)))
+                out[f"map_labels/{key}"] = digest(map_labels(data, theta))
+                out[f"log_densities/{key}"] = digest(log_densities(data, theta))
+                out[f"responsibilities_batch/{key}"] = digest(responsibilities_batch(data, theta))
+    return out
+
+
 def main() -> None:
-    print(json.dumps({**setup_cases(), **run_cases()}, indent=1, sort_keys=True))
+    print(json.dumps({**setup_cases(), **run_cases(), **eval_cases()}, indent=1, sort_keys=True))
 
 
 if __name__ == "__main__":
