@@ -306,6 +306,7 @@ def test_epoch_budget_fairness():
 # ---------------------------------------------------------------------------
 
 def test_results_csv_deterministic_across_reruns_and_workers(tmp_path):
+    environ = dict(os.environ)
     texts = []
     for attempt, workers in ((0, 1), (1, 1), (2, 2)):
         spec = _small_spec(reps=3, workers=workers, variants=(
@@ -317,6 +318,7 @@ def test_results_csv_deterministic_across_reruns_and_workers(tmp_path):
         write_results_csv(rows, path)
         texts.append(_strip_timing(path.read_text()))
     assert texts[0] == texts[1] == texts[2]
+    assert dict(os.environ) == environ  # the pool's BLAS pins are undone
 
 
 def test_pool_workers_run_one_blas_thread_whatever_the_shell_sets(tmp_path, rng):
