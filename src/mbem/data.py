@@ -250,15 +250,15 @@ def random_partition_init(data: np.ndarray, g: int, rng: np.random.Generator) ->
     raise InitializationError(f"no valid random partition after {_PARTITION_DRAWS} attempts")
 
 
-def _set_means(data: np.ndarray, labels: np.ndarray, blocks: list, centers: np.ndarray) -> None:
+def _set_means(data: np.ndarray, labels: np.ndarray, centers: np.ndarray) -> None:
     """Set each row z of ``centers`` whose cluster (``labels == z``) has
     members to that cluster's mean, bit for bit ``data[labels == z].mean(axis=0)``.
 
     NumPy sums an (m, d) matrix down its rows one row after another when
-    d >= 2, so each cluster's sum is carried through the row ``blocks``: a
-    block's member rows are reduced with the running sum stacked on top, in
-    a buffer of one block.  At d = 1 that sum is pairwise instead, and a
-    cluster's rows, one float each, are gathered whole.
+    d >= 2, and ``np.bincount`` adds its weights in row order from +0.0, so
+    each coordinate's cluster sums come from one ``bincount``.  At d = 1
+    that sum is pairwise instead, and a cluster's rows, one float each, are
+    gathered whole.
     """
     g, d = centers.shape
     if d == 1:
@@ -267,21 +267,11 @@ def _set_means(data: np.ndarray, labels: np.ndarray, blocks: list, centers: np.n
             if members.size:
                 centers[z] = members.mean(axis=0)
         return
-    sums = np.zeros((g, d))
-    counts = np.zeros(g, dtype=np.intp)
-    buf = np.empty((min(len(data), blocks[0].stop) + 1, d))
-    for rows in blocks:
-        block, block_labels = data[rows], labels[rows]
-        for z in range(g):
-            members = block_labels == z
-            m = np.count_nonzero(members)
-            if m:
-                buf[0] = sums[z]
-                np.compress(members, block, axis=0, out=buf[1 : m + 1])
-                buf[: m + 1].sum(axis=0, out=sums[z])
-                counts[z] += m
+    counts = np.bincount(labels, minlength=g)
     filled = counts > 0
-    centers[filled] = sums[filled] / counts[filled, None]
+    for j in range(d):
+        sums = np.bincount(labels, weights=data[:, j], minlength=g)
+        centers[filled, j] = sums[filled] / counts[filled]
 
 
 def kmeans(data: np.ndarray, centers: np.ndarray, epochs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,12 +282,12 @@ def kmeans(data: np.ndarray, centers: np.ndarray, epochs: int) -> tuple[np.ndarr
     point; other starts raise :class:`InvalidInputError`.  The
     within-cluster sum of squares is asserted nonincreasing after every sweep.
 
-    Every pass over the data goes by 1 MiB row blocks: the squared row
-    norms, the distances with their labels and point costs, the centres
-    (:func:`_set_means`) and the within-cluster sum of squares.  Besides
-    the data, a sweep holds its per-row vectors (norms, old and new labels,
-    point costs) and one block's temporaries, never an (n, g) distance
-    matrix or a cluster's rows.
+    The squared row norms, the distances with their labels and point costs,
+    and the within-cluster sum of squares go by 1 MiB row blocks; the
+    centres (:func:`_set_means`) go one coordinate at a time.  Besides the
+    data, a sweep holds its per-row vectors (norms, old and new labels,
+    point costs), one block's temporaries and one data column (at d = 1, a
+    cluster's rows), never an (n, g) distance matrix.
     """
     data = np.asarray(data, dtype=float)
     n, d = data.shape
@@ -337,7 +327,7 @@ def kmeans(data: np.ndarray, centers: np.ndarray, epochs: int) -> tuple[np.ndarr
             centers[z] = data[far]
             new_labels[far] = z
             point_cost[far] = 0.0
-        _set_means(data, new_labels, blocks, centers)
+        _set_means(data, new_labels, centers)
         wcss = 0.0
         for rows in blocks:
             diff = centers[new_labels[rows]]

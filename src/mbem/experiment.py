@@ -248,7 +248,7 @@ METRIC_COLUMNS = ("loglik", "loglik_per_obs", "se", "ari", "truncation_events", 
 RESULTS_SCHEMA_VERSION = 1
 
 
-# Heavy arrays live in a per-process context so worker pools pickle them once.
+# Heavy arrays live in a per-process context so pool workers load them once.
 _CTX = None
 
 #: Thread-count variables that NumPy's and SciPy's OpenBLAS builds (and MKL
@@ -259,6 +259,19 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 def _init_worker(data, labels, theta_true):
     global _CTX
     _CTX = (data, labels, theta_true)
+
+
+def _map_worker(root: str) -> None:
+    # A pool worker's context: the arrays its launcher saved in ``root``,
+    # mapped read-only, and the pickled true mixture.
+    import pickle
+
+    def mapped(name):
+        path = os.path.join(root, name)
+        return np.asarray(np.load(path, mmap_mode="r")) if os.path.exists(path) else None
+
+    with open(os.path.join(root, "theta_true.pkl"), "rb") as f:
+        _init_worker(mapped("data.npy"), mapped("labels.npy"), pickle.load(f))
 
 
 def _evaluate(theta, data, labels, theta_true) -> tuple[float, float, float]:
@@ -331,8 +344,9 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     in place, and k-means and the evaluation pass work by row blocks; a
     repetition keeps only its init mixture, never its partition labels.  A
     serial grid clears its per-process context when it ends, also on error,
-    so the data is released with the grid; pool workers hold their own copy
-    for the life of the pool.
+    so the data is released with the grid.  A pool's launcher saves the
+    data, the labels and the true mixture in a temporary directory that
+    outlives the pool, and each worker maps the arrays read-only.
 
     Pool workers are spawned, not forked, with one BLAS thread each whatever
     the launching environment sets, since the E-step's last bits can depend
@@ -368,18 +382,28 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     else:
         # Imported here, so that serial grids do not load the pool machinery.
         import multiprocessing
+        import pickle
+        import tempfile
         from concurrent.futures import ProcessPoolExecutor
 
         saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
         try:
-            with ProcessPoolExecutor(
-                max_workers=spec.workers,
-                mp_context=multiprocessing.get_context("spawn"),
-                initializer=_init_worker,
-                initargs=(data, labels, theta_true),
-            ) as pool:
-                rows = list(pool.map(_run_task, tasks))
+            # Files, not initargs: a spawned worker's start-up pipe would
+            # carry the pickled data, and block the launcher if it dies early.
+            with tempfile.TemporaryDirectory() as root:
+                np.save(os.path.join(root, "data.npy"), data)
+                if labels is not None:
+                    np.save(os.path.join(root, "labels.npy"), labels)
+                with open(os.path.join(root, "theta_true.pkl"), "wb") as f:
+                    pickle.dump(theta_true, f)
+                with ProcessPoolExecutor(
+                    max_workers=spec.workers,
+                    mp_context=multiprocessing.get_context("spawn"),
+                    initializer=_map_worker,
+                    initargs=(root,),
+                ) as pool:
+                    rows = list(pool.map(_run_task, tasks))
         finally:
             for var, value in saved.items():
                 if value is None:

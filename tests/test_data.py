@@ -403,9 +403,14 @@ def test_kmeans_equals_full_array_reference(d, g):
         rng = np.random.default_rng(n + d)
         data, _ = sample(make_gaussian_mixture(rng, d, g), n, rng)
         init = _block_means(data, g, rng.integers(0, g, n))
-        got = kmeans(data, init, 6)
-        ref = _full_array_kmeans(data, init, 6)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        # the same start with its last centre far from every row: the first
+        # sweep empties that cluster and reseeds it from the farthest point
+        far = init.copy()
+        far[-1] = 1e6
+        for start in (init, far):
+            got = kmeans(data, start, 6)
+            ref = _full_array_kmeans(data, start, 6)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def test_kmeans_builds_no_data_sized_temporary():
@@ -432,8 +437,9 @@ def test_kmeans_builds_no_data_sized_temporary():
 def test_kmeans_holds_per_row_vectors_and_blocks():
     # d = 50, four equal, well separated clouds: besides the data a sweep
     # holds five per-row vectors at most (norms, old and new labels, point
-    # costs, a comparison mask) and 1 MiB row blocks; one cloud's rows
-    # would be 25% of the data and the (n, g) distances 8%
+    # costs, and one data column for the centres or a comparison mask) and
+    # 1 MiB row blocks; one cloud's rows would be 25% of the data and the
+    # (n, g) distances 8%
     d, g, n = 50, 4, 40_000
     theta = MixtureParams(
         np.full(g, 0.25), tuple(Gaussian(np.full(d, 10.0 * z), np.eye(d)) for z in range(g))

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -342,6 +343,30 @@ def test_pool_workers_run_one_blas_thread_whatever_the_shell_sets(tmp_path, rng)
         )
         texts.append(_strip_timing((out / "results.csv").read_text()))
     assert texts[0] == texts[1]
+
+
+def test_pool_whose_workers_die_at_start_fails_instead_of_hanging(tmp_path):
+    # A script without a __main__ guard: each spawned worker reruns it on
+    # import and dies bootstrapping.  The launcher must see the broken pool;
+    # a worker that dies before reading a start-up payload larger than the
+    # pipe holds (20 000 iris rows) would leave it blocked in the write.
+    script = tmp_path / "no_guard.py"
+    argv = ["simulate", "--template", str(IRIS_CSV), "--n", "20000", "--epochs", "1",
+            "--variant", "em", "--reps", "2", "--workers", "2", "--out-dir", str(tmp_path / "out")]
+    script.write_text(f"import mbem.cli\n\nmbem.cli.main({argv!r})\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.Popen([sys.executable, str(script)], env=env, cwd=tmp_path, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the launcher hung on a pool whose workers died at start")
+    assert proc.returncode != 0
+    assert "BrokenProcessPool" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ Prints one JSON object that maps each case to sha256 digests of its arrays:
   :func:`mbem.data.random_partition_init` and :func:`mbem.data.kmeans`
   (started from the init's component means) at row counts on both sides of
   one, two and five row chunks of ``_block_rows(1, d)`` rows (1 MiB), at
-  d = 1, 4 and 50;
+  d = 1, 4 and 50.  At g = 3, ``kmeans/...-emptied`` starts from the same
+  means with the last one at 1e6 in every coordinate, so that the first
+  sweep empties that cluster and reseeds it from the farthest row;
 * ``run/...``: every field of a :class:`mbem.RunRecord` but its timings
   (and the iterates, kept only on request), over 54 runs: d = 1, 4 and 50; batch EM and batch sizes 1, 2, 10 and
   500; truncated or not (mini-batch only) and Polyak-averaged or not.  A
@@ -112,6 +114,11 @@ def setup_cases() -> dict:
                 out[f"init/{key}"] = theta_digest(init)
                 found, centers = kmeans(data, init.means(), 5)
                 out[f"kmeans/{key}"] = digest(found, centers)
+                if g > 1:
+                    far = init.means()
+                    far[-1] = 1e6
+                    found, centers = kmeans(data, far, 5)
+                    out[f"kmeans/{key}-emptied"] = digest(found, centers)
     return out
 
 
