@@ -14,7 +14,6 @@ from .engine import (
     batch_em_step,
     minibatch_step,
     polyak_update,
-    reset_stat,
     run,
 )
 from .families import (
@@ -53,7 +52,6 @@ __all__ = [
     "mean_sbar",
     "minibatch_step",
     "polyak_update",
-    "reset_stat",
     "run",
     "sample",
     "squared_error",

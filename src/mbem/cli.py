@@ -2,8 +2,9 @@
 
 Subcommands:
 
-* ``simulate`` — fit a template mixture to a labeled CSV (or load a theta
-  JSON file), synthesize data, and run the variant grid.
+* ``simulate`` — fit a template mixture to a labeled CSV (or load a
+  Gaussian mixture from a theta JSON file), synthesize data, and run the
+  variant grid.
 * ``mnist`` — ingest IDX image/label files, filter constant pixels, project
   with PCA, and run the grid; by default batch EM, truncated mini-batch EM
   with and without averaging, and a k-means baseline, with g = 10.
@@ -104,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.register("action", None, _StoreOnce)
     for p in (sim, ben):
         p.add_argument("--template", type=Path, help="labeled CSV to fit the template from")
-        p.add_argument("--theta", type=Path, help="JSON parameter file to sample from")
+        p.add_argument("--theta", type=Path, help="JSON Gaussian-mixture parameter file to sample from")
         p.add_argument("--n", type=int, help="synthetic sample size")
     mni.add_argument("--images", type=Path, action="append",
                      help="IDX image file; repeatable (sets are concatenated)")

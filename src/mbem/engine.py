@@ -17,15 +17,16 @@ batch EM) and the region (none for untruncated EM).
 ``(mass, moment1, moment2)`` and the parameter stack of
 :mod:`mbem.families` (weights, means, covariances, their Cholesky factors
 and log normalisers, or rates).  Each M-step factorises once and the next
-E-step reuses that factor.  A truncation reset (``_reset``) starts from the
-batch E-step the rejected step computed, projects its M-step image into the
-base region (``_project``) and rebuilds the statistic from it, also on
-arrays, and hands back the factored M-step image it tested.  Batch indices
-are drawn with one generator call per epoch.
-``MixtureParams`` objects are built only at epoch boundaries (the trace),
-with ``keep_iterates`` and for the returned results.  The public step
-functions and :func:`reset_stat` wrap the same array maps and read the region
-from the state they are given.
+E-step reuses that factor.  The step, ``_advance``, is the one place a
+truncation reset happens (``_reset``): it starts from the batch E-step the
+rejected step computed, projects its M-step image into the base region
+(``_project``) and rebuilds the statistic from it, also on arrays, and hands
+back the factored M-step image it tested.  Batch indices are drawn with one
+generator call per epoch.  ``MixtureParams`` objects are built only at epoch
+boundaries (the trace), with ``keep_iterates`` and for the returned results.
+The public step functions wrap the same array maps and read the region from
+the state they are given: :func:`minibatch_step` on a state with a region
+performs exactly that reset and returns the state with the index one higher.
 """
 
 from __future__ import annotations
@@ -116,10 +117,6 @@ class TruncationRegion:
         if self.m < 0:
             raise InvalidInputError("region index must be nonnegative")
 
-    def grown(self) -> "TruncationRegion":
-        """Region after one reset: the index advances by one."""
-        return replace(self, m=self.m + 1)
-
 
 def _inside(p: _Stacked, region: TruncationRegion) -> bool:
     """Whether a parameter stack lies in the region at its current index;
@@ -186,8 +183,8 @@ class EmState:
 
     ``theta`` equals the M-step image of ``stats`` after every completed step;
     before the first step it is the supplied initializer.  ``region`` is the
-    current truncation region: with one, :func:`minibatch_step` is truncated;
-    :func:`reset_stat` requires it.
+    current truncation region: with one, :func:`minibatch_step` is truncated,
+    and a step that resets returns the state with the index one higher.
     """
 
     stats: SuffStats
@@ -234,7 +231,7 @@ def _advance(
     if inside:
         return candidate, theta, region
     stats, theta = _reset(params, sbar, region)
-    return stats, theta, region.grown()
+    return stats, theta, replace(region, m=region.m + 1)
 
 
 def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
@@ -243,7 +240,8 @@ def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
     Without a region the candidate is always accepted.  With one, a
     candidate outside ``state.region``, or whose M-step image is undefined
     (empty component, degenerate covariance, nonpositive rate), is replaced
-    by a reset, and the returned state carries the grown region.
+    by the reset of :func:`_reset`, and the returned state carries the
+    region with the index one higher.
     """
     _check_gamma(gamma)
     data = _as_data_matrix(batch, state.theta.dim)
@@ -254,26 +252,17 @@ def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
     return EmState(SuffStats(*stats), params.mixture(), region)
 
 
-def reset_stat(state: EmState, batch: np.ndarray) -> SuffStats:
+def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
     """Replacement statistic inside the base region after a truncation event.
 
-    Builds the fresh-batch statistic at the last accepted parameters, maps it
-    to parameter space (falling back to the last accepted parameters when the
-    map is undefined), projects into the base region of ``state.region``, and
-    rebuilds the statistic from the projected parameters.  Deterministic
-    given its inputs.  Raises :class:`InvalidInputError` when
-    ``state.region`` is None.
+    ``sbar`` is the batch E-step at ``params``, the last accepted
+    parameters.  Its M-step image (``params`` itself when that image is
+    undefined) is projected into the base (m = 0) region of ``region``, and
+    the statistic is rebuilt from the projected parameters.  Returns the
+    statistic blocks and their factored M-step image.  Deterministic given
+    its inputs; raises :class:`TruncationError` when no projection lands
+    inside the base region.
     """
-    if state.region is None:
-        raise InvalidInputError("reset_stat needs a state with a region, got region=None")
-    data = _as_data_matrix(batch, state.theta.dim)
-    params = _stack(state.theta)
-    return SuffStats(*_reset(params, _estep(data, params), state.region)[0])
-
-
-def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
-    """:func:`reset_stat` on arrays, given the batch E-step ``sbar`` at
-    ``params``: the statistic blocks and their factored M-step image."""
     try:
         anchor = _mstep(sbar, params.family)
     except (EmptyComponentError, DegenerateComponentError):

@@ -128,7 +128,8 @@ class TemplateSource:
 @dataclass(frozen=True)
 class ThetaSource:
     """Synthesize ``n`` rows from the mixture in a parameter file (JSON), read
-    once, when :attr:`theta` is first read."""
+    once, when :attr:`theta` is first read.  The grid starts every cell from
+    a partition of Gaussian blocks, so the mixture must be Gaussian."""
 
     theta_path: str
     n: int
@@ -136,7 +137,13 @@ class ThetaSource:
     @cached_property
     def theta(self) -> MixtureParams:
         with _reading(self.theta_path), open(self.theta_path) as f:
-            return params_from_dict(json.load(f))
+            theta = params_from_dict(json.load(f))
+        if theta.family_tag != "gaussian":
+            raise InvalidInputError(
+                f"{self.theta_path}: the grid fits Gaussian mixtures, "
+                f"got family {theta.family_tag!r}"
+            )
+        return theta
 
     def meta(self) -> dict:
         return {"kind": "theta-json", **asdict(self)}

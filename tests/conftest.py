@@ -3,8 +3,18 @@ import struct
 import numpy as np
 import pytest
 
-from mbem.engine import _inside
-from mbem.families import Gaussian, MixtureParams, SuffStats, _stack, _stats, log_densities, sample
+from mbem.engine import _inside, _reset
+from mbem.families import (
+    Gaussian,
+    MixtureParams,
+    SuffStats,
+    _as_data_matrix,
+    _estep,
+    _stack,
+    _stats,
+    log_densities,
+    sample,
+)
 
 
 def make_gaussian_mixture(rng, d, g, weight_floor=0.15):
@@ -48,6 +58,14 @@ def region_contains(theta, region):
     """Whether ``theta`` lies in ``region`` at its current index: the
     engine's own test, on the parameters' stack."""
     return _inside(_stack(theta), region)
+
+
+def reset_stat(state, batch):
+    """The statistic a truncated step from ``state`` on ``batch`` resets to:
+    the engine's own reset, at the state's parameters and region."""
+    params = _stack(state.theta)
+    sbar = _estep(_as_data_matrix(batch, state.theta.dim), params)
+    return SuffStats(*_reset(params, sbar, state.region)[0])
 
 
 def log_density(y, theta):

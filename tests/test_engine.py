@@ -15,7 +15,6 @@ from mbem.engine import (
     batch_em_step,
     minibatch_step,
     polyak_update,
-    reset_stat,
     run,
 )
 from mbem.errors import (
@@ -37,7 +36,7 @@ from mbem.families import (
 from mbem.families import _blend
 from mbem.metrics import dataset_loglik
 
-from conftest import make_gaussian_mixture, region_contains, stats_from_params
+from conftest import make_gaussian_mixture, region_contains, reset_stat, stats_from_params
 
 
 def _params_equal(a: MixtureParams, b: MixtureParams) -> bool:
@@ -298,6 +297,12 @@ def test_truncated_step_resets_on_degenerate_candidate(rng):
     stepped = minibatch_step(state, data[:10], 1e-6)
     assert stepped.region == replace(region, m=1)
     assert region_contains(stepped.theta, TruncationRegion(1000, 1000, 1000, m=0))
+    # the public step is the only path to the reset statistic: it must be the
+    # object-level reference's, bit for bit
+    expected = _reference_reset_stat(state, data[:10], region)
+    assert np.array_equal(stepped.stats.mass, expected.mass)
+    assert np.array_equal(stepped.stats.moment1, expected.moment1)
+    assert np.array_equal(stepped.stats.moment2, expected.moment2)
 
 
 def test_truncation_index_monotone_and_counts_events(rng):
@@ -321,15 +326,12 @@ def test_truncation_index_monotone_and_counts_events(rng):
 
 
 def test_truncated_step_and_reset_need_a_region(rng):
-    # the step and the reset read the region from the state; without one the
-    # step is untruncated and the reset fails typed instead of inside replace()
+    # the step reads the region from the state; without one it is untruncated
     theta = make_gaussian_mixture(rng, 1, 2)
     data, _ = sample(theta, 40, rng)
     state = EmState(stats=mean_sbar(data[:10], theta), theta=theta)
     assert state.region is None
     assert minibatch_step(state, data[10:20], 0.5).region is None
-    with pytest.raises(InvalidInputError, match="region"):
-        reset_stat(state, data[10:20])
 
 
 def test_reset_stat_identity_on_base_region():

@@ -36,7 +36,7 @@ from mbem.experiment import (
     write_summary,
 )
 from mbem.errors import DegeneratePointError, InvalidInputError
-from mbem.families import Exponential, Gaussian, MixtureParams, params_to_dict
+from mbem.families import Exponential, Gaussian, MixtureParams, Poisson, params_to_dict
 from mbem.metrics import adjusted_rand_index, dataset_loglik, map_labels
 
 from conftest import make_gaussian_mixture, write_idx
@@ -682,11 +682,15 @@ def test_idx_load_holds_one_float_chunk(tmp_path):
     ("simulate", "--template", "a,b,cls\n1,2,0\n3,1,0\n2,5,0\n4,4,0.5\n"),
     ("simulate", "--theta", None), ("simulate", "--theta", '{"family": "gaussian"}'),
     ("simulate", "--theta", '{"family": "gaussian",'), ("simulate", "--theta", "[1, 2]"),
+    ("simulate", "--theta", json.dumps(
+        params_to_dict(MixtureParams([0.5, 0.5], (Poisson(2.0), Poisson(9.0)))))),
+    ("simulate", "--theta", json.dumps(
+        params_to_dict(MixtureParams([0.5, 0.5], (Exponential(0.5), Exponential(4.0)))))),
     ("mnist", "--images", None), ("mnist", "--images", "not an idx file"),
     ("mnist", "--labels", None),
 ], ids=["template-missing", "template-malformed", "template-fractional-class", "theta-missing",
-        "theta-no-components", "theta-not-json", "theta-not-object", "images-missing",
-        "images-malformed", "labels-missing"])
+        "theta-no-components", "theta-not-json", "theta-not-object", "theta-poisson",
+        "theta-exponential", "images-missing", "images-malformed", "labels-missing"])
 def test_cli_unreadable_data_file_is_a_usage_error(tmp_path, capsys, command, option, content):
     # a data file that cannot be opened or parsed exits with status 2 and a
     # message that names it, not with a traceback
