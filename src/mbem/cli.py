@@ -47,6 +47,7 @@ from .experiment import (
     VariantSpec,
     run_experiment,
     write_boxplot_csv,
+    write_json,
     write_meta,
     write_results_csv,
     write_summary,
@@ -128,7 +129,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--c1", type=float, help="truncation weight constant")
         p.add_argument("--c2", type=float, help="truncation mean constant")
         p.add_argument("--c3", type=float, help="truncation eigenvalue constant")
-        p.add_argument("--workers", type=int, help="parallel workers over repetitions")
+        p.add_argument("--workers", type=int, help="worker processes; grid cells run in parallel")
     return parser
 
 
@@ -217,7 +218,7 @@ def main(argv=None) -> int:
             write_boxplot_csv(rows, metric, out_dir / f"boxplot_{metric}.csv")
         write_meta(spec, out_dir / "meta.json")
     if bench:
-        print(json.dumps(asdict(rows[0]), indent=2))
+        write_json(asdict(rows[0]), sys.stdout)
     else:
         ok = sum(1 for r in rows if r.status == "ok")
         print(f"{len(rows)} runs ({ok} ok) -> {opts['out_dir']}")

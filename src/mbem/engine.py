@@ -13,7 +13,7 @@ reset to a projected statistic inside the base region and grows the region
 index by one.  So two values choose the variant: the batch size (none for
 batch EM) and the region (none for untruncated EM).
 
-:func:`run` iterates on stacked arrays: the statistic blocks
+:func:`run` works on stacked arrays: the statistic blocks
 ``(mass, moment1, moment2)`` and the parameter stack of
 :mod:`mbem.families` (weights, means, covariances, their Cholesky factors
 and log normalisers, or rates).  Each M-step factorises once and the next
@@ -23,10 +23,10 @@ rejected step computed, projects its M-step image into the base region
 (``_project``) and rebuilds the statistic from it, also on arrays, and hands
 back the factored M-step image it tested.  Batch indices are drawn with one
 generator call per epoch.  ``MixtureParams`` objects are built only at epoch
-boundaries (the trace), with ``keep_iterates`` and for the returned results.
-The public step functions wrap the same array maps and read the region from
-the state they are given: :func:`minibatch_step` on a state with a region
-performs exactly that reset and returns the state with the index one higher.
+boundaries, for the trace and the returned results.  The public step
+functions wrap the same array maps and read the region from the state they
+are given: :func:`minibatch_step` on a state with a region performs exactly
+that reset and returns the state with the index one higher.
 """
 
 from __future__ import annotations
@@ -283,11 +283,11 @@ def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
 # ---------------------------------------------------------------------------
 
 def polyak_update(theta_acc: MixtureParams | None, theta_new: MixtureParams, i: int) -> MixtureParams:
-    """Running average of parameter iterates, element-wise per block.
+    """Running average of the parameters of successive steps, element-wise per block.
 
     Uses the iterative form avg_i = ((i - 1) * avg_{i-1} + theta_i) / i, so no
-    iterate history is stored.  At i = 1 the accumulator is the new iterate;
-    from i = 2 on, ``theta_acc`` must be the average of iterates 1 to i - 1.
+    history is stored.  At i = 1 the accumulator is ``theta_new``; from
+    i = 2 on, ``theta_acc`` must be the average of theta_1 to theta_{i-1}.
     """
     if i < 1:
         raise InvalidInputError(f"averaging index must be >= 1, got {i}")
@@ -295,7 +295,7 @@ def polyak_update(theta_acc: MixtureParams | None, theta_new: MixtureParams, i: 
         return theta_new
     if theta_acc is None:
         raise InvalidInputError(
-            f"averaging index {i} needs theta_acc, the average of iterates 1 to {i - 1}; got None"
+            f"averaging index {i} needs theta_acc, the average of theta_1 to theta_{i - 1}; got None"
         )
     return _average(_stack(theta_acc), _stack(theta_new), i).mixture()
 
@@ -357,16 +357,9 @@ class RunRecord:
     truncation_events: int
     wall_time: float
     cpu_time: float
-    iterates: list | None = None
 
 
-def run(
-    data: np.ndarray,
-    config: RunConfig,
-    init: MixtureParams,
-    *,
-    keep_iterates: bool = False,
-) -> RunRecord:
+def run(data: np.ndarray, config: RunConfig, init: MixtureParams) -> RunRecord:
     """Execute one configured run and record its trace.
 
     ``config.batch_size`` and ``config.truncation`` choose the variant (see
@@ -385,7 +378,8 @@ def run(
     is checked once: a non-finite row or a wrong width raises
     :class:`EngineRunError` at iteration 0.  The record equals iterating
     :func:`minibatch_step` from a state that carries ``config.truncation``,
-    and :func:`polyak_update`, on the same draws, bit for bit.
+    and :func:`polyak_update`, on the same draws, bit for bit; that replay
+    gives the parameters of every step, which the record does not keep.
     """
     wall0, cpu0 = time.perf_counter(), time.process_time()
     try:
@@ -425,7 +419,7 @@ def run(
     region = config.truncation
     total = config.epochs * per_epoch
     acc = None
-    trace, polyak_trace, iterates = [], [], []
+    trace, polyak_trace = [], []
     for r, batch in enumerate(batches(), start=1):
         gamma = 1.0 if full else config.learning_rate.at(r)
         try:
@@ -434,15 +428,11 @@ def run(
             raise EngineRunError(r, str(exc)) from exc
         if config.polyak:
             acc = _average(acc, params, r)
-        boundary = r % per_epoch == 0
-        theta = params.mixture() if keep_iterates or boundary else None
-        if keep_iterates:
-            iterates.append(theta)
-        if boundary:
-            trace.append(theta)
+        if r % per_epoch == 0:
+            trace.append(params.mixture())
             if config.polyak:
                 polyak_trace.append(acc.mixture())
-    # The last iteration ends an epoch, so the trace holds the final iterates.
+    # The last iteration ends an epoch, so the trace holds the final parameters.
     return RunRecord(
         final_theta=trace[-1],
         polyak_theta=polyak_trace[-1] if config.polyak else None,
@@ -452,5 +442,4 @@ def run(
         truncation_events=0 if region is None else region.m - config.truncation.m,
         wall_time=time.perf_counter() - wall0,
         cpu_time=time.process_time() - cpu0,
-        iterates=iterates if keep_iterates else None,
     )

@@ -504,6 +504,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _finite_or_none(value):
+    """``value`` with each non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_none(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_none(v) for v in value]
+    return value
+
+
+def write_json(value, f) -> None:
+    """Write ``value`` to the open text file ``f`` as indented JSON and a
+    newline.  RFC 8259 has no NaN or infinity, so an undefined metric or an
+    infinite constant is written as ``null``."""
+    json.dump(_finite_or_none(value), f, indent=2, allow_nan=False)
+    f.write("\n")
+
+
 def write_results_csv(rows: list, path) -> None:
     lines = [",".join(RESULTS_COLUMNS)]
     for row in rows:
@@ -521,8 +540,7 @@ def write_summary(rows: list, csv_path, json_path) -> None:
     with open(csv_path, "w") as f:
         f.write("\n".join(lines) + "\n")
     with open(json_path, "w") as f:
-        json.dump(records, f, indent=2)
-        f.write("\n")
+        write_json(records, f)
 
 
 def write_boxplot_csv(rows: list, metric: str, path) -> None:
@@ -561,5 +579,4 @@ def write_meta(spec: ExperimentSpec, path) -> None:
     if spec.source.theta is not None:
         meta["template_theta"] = params_to_dict(spec.source.theta)
     with open(path, "w") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+        write_json(meta, f)

@@ -357,14 +357,6 @@ class SuffStats:
         if m1.shape[0] != g or (self.moment2 is not None and self.moment2.shape[0] != g):
             raise InvalidInputError("sufficient-statistic blocks disagree on component count")
 
-    @property
-    def g(self) -> int:
-        return self.mass.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.moment1.shape[1]
-
 
 def _blend(s: tuple, t: tuple, gamma: float) -> tuple:
     """(1 - gamma) * s + gamma * t, block by block, on ``(mass, moment1, moment2)``.

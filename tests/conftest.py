@@ -1,9 +1,10 @@
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from mbem.engine import _inside, _reset
+from mbem.engine import EmState, _inside, _reset, minibatch_step, polyak_update
 from mbem.families import (
     Gaussian,
     MixtureParams,
@@ -13,6 +14,7 @@ from mbem.families import (
     _stack,
     _stats,
     log_densities,
+    mean_sbar,
     sample,
 )
 
@@ -66,6 +68,31 @@ def reset_stat(state, batch):
     params = _stack(state.theta)
     sbar = _estep(_as_data_matrix(batch, state.theta.dim), params)
     return SuffStats(*_reset(params, sbar, state.region)[0])
+
+
+def replay(data, cfg, init):
+    """Iterate the public steps on the draws ``run`` makes for a mini-batch
+    ``cfg``: (iterates, Polyak averages, last state), one entry per step.
+
+    Each batch is ``rng.integers(0, n, size=N)`` rows from
+    ``default_rng(cfg.seed)``; the first batch's ``mean_sbar`` at ``init``
+    is the starting statistic.  The averages are empty without
+    ``cfg.polyak``."""
+    rng = np.random.default_rng(cfg.seed)
+    n = len(data)
+
+    def draw():
+        return data[rng.integers(0, n, size=cfg.batch_size)]
+
+    state = EmState(stats=mean_sbar(draw(), init), theta=init, region=cfg.truncation)
+    acc, iterates, averages = None, [], []
+    for r in range(1, cfg.epochs * math.ceil(n / cfg.batch_size) + 1):
+        state = minibatch_step(state, draw(), cfg.learning_rate.at(r))
+        iterates.append(state.theta)
+        if cfg.polyak:
+            acc = polyak_update(acc, state.theta, r)
+            averages.append(acc)
+    return iterates, averages, state
 
 
 def log_density(y, theta):

@@ -47,7 +47,7 @@ from mbem.families import (
 )
 from mbem.metrics import adjusted_rand_index, dataset_loglik, map_labels, squared_error
 
-from conftest import make_gaussian_mixture
+from conftest import make_gaussian_mixture, replay
 
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
 
@@ -271,11 +271,13 @@ def test_criterion_6_polyak(iris_data, iris_grid):
     data, labels, theta_true = iris_data
     init = random_partition_init(data, 3, np.random.default_rng(21))
     cfg = RunConfig(epochs=10, batch_size=10_000, polyak=True, seed=33)
-    rec = run(data, cfg, init, keep_iterates=True)
+    rec = run(data, cfg, init)
+    iterates, averages, state = replay(data, cfg, init)
     per_epoch = rec.iterations // 10
-    exact = True
+    # the replay is the run's own trajectory
+    exact = _params_equal(state.theta, rec.final_theta) and _params_equal(averages[-1], rec.polyak_theta)
     for e, acc in enumerate(rec.polyak_trace):
-        upto = rec.iterates[: (e + 1) * per_epoch]
+        upto = iterates[: (e + 1) * per_epoch]
         exact = exact and np.max(np.abs(acc.weights - np.mean([t.weights for t in upto], axis=0))) <= 1e-12
         exact = exact and np.max(np.abs(acc.means() - np.mean([t.means() for t in upto], axis=0))) <= 1e-12
         exact = exact and np.max(np.abs(acc.covariances() - np.mean([t.covariances() for t in upto], axis=0))) <= 1e-12

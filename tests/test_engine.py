@@ -36,7 +36,7 @@ from mbem.families import (
 from mbem.families import _blend
 from mbem.metrics import dataset_loglik
 
-from conftest import make_gaussian_mixture, region_contains, reset_stat, stats_from_params
+from conftest import make_gaussian_mixture, region_contains, replay, reset_stat, stats_from_params
 
 
 def _params_equal(a: MixtureParams, b: MixtureParams) -> bool:
@@ -564,12 +564,16 @@ def test_polyak_equals_mean_of_trace(rng):
     data, _ = sample(theta, 500, rng)
     init = random_partition_init(data, 2, rng)
     cfg = RunConfig(epochs=5, batch_size=50, polyak=True, seed=9)
-    rec = run(data, cfg, init, keep_iterates=True)
+    rec = run(data, cfg, init)
+    iterates, averages, state = replay(data, cfg, init)
+    # the replay is the run's own trajectory
+    assert _params_equal(state.theta, rec.final_theta)
+    assert _params_equal(averages[-1], rec.polyak_theta)
     acc = rec.polyak_theta
-    np.testing.assert_allclose(acc.weights, np.mean([t.weights for t in rec.iterates], axis=0), atol=1e-12)
-    np.testing.assert_allclose(acc.means(), np.mean([t.means() for t in rec.iterates], axis=0), atol=1e-12)
+    np.testing.assert_allclose(acc.weights, np.mean([t.weights for t in iterates], axis=0), atol=1e-12)
+    np.testing.assert_allclose(acc.means(), np.mean([t.means() for t in iterates], axis=0), atol=1e-12)
     np.testing.assert_allclose(
-        acc.covariances(), np.mean([t.covariances() for t in rec.iterates], axis=0), atol=1e-12
+        acc.covariances(), np.mean([t.covariances() for t in iterates], axis=0), atol=1e-12
     )
 
 
@@ -711,25 +715,6 @@ def test_run_batch_size_validation(rng):
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
 
 
-def _replay(data, cfg, init):
-    """Iterate the public steps on the draws ``run`` makes: (iterates, averages, last state)."""
-    rng = np.random.default_rng(cfg.seed)
-    n = len(data)
-
-    def draw():
-        return data[rng.integers(0, n, size=cfg.batch_size)]
-
-    state = EmState(stats=mean_sbar(draw(), init), theta=init, region=cfg.truncation)
-    acc, iterates, averages = None, [], []
-    for r in range(1, cfg.epochs * math.ceil(n / cfg.batch_size) + 1):
-        state = minibatch_step(state, draw(), cfg.learning_rate.at(r))
-        iterates.append(state.theta)
-        if cfg.polyak:
-            acc = polyak_update(acc, state.theta, r)
-            averages.append(acc)
-    return iterates, averages, state
-
-
 def _iris_case(truncated, polyak):
     rng = np.random.default_rng(11)
     template = template_from_labeled_data(*read_labeled_csv(IRIS_CSV))
@@ -769,11 +754,10 @@ def test_run_is_iterated_public_steps(case, truncated, polyak):
     # run() iterates on stacked arrays; every record entry must equal the
     # object-level steps replayed on the same draws, bit for bit
     data, cfg, init = case(truncated, polyak)
-    rec = run(data, cfg, init, keep_iterates=True)
-    iterates, averages, state = _replay(data, cfg, init)
+    rec = run(data, cfg, init)
+    iterates, averages, state = replay(data, cfg, init)
     per_epoch = math.ceil(len(data) / cfg.batch_size)
-    assert rec.iterations == len(rec.iterates) == len(iterates)
-    assert all(_params_equal(a, b) for a, b in zip(rec.iterates, iterates))
+    assert rec.iterations == len(iterates)
     assert len(rec.trace) == cfg.epochs
     assert all(_params_equal(a, b) for a, b in zip(rec.trace, iterates[per_epoch - 1 :: per_epoch]))
     assert _params_equal(rec.final_theta, state.theta)
@@ -795,6 +779,6 @@ def test_truncation_events_count_from_a_nonzero_start():
     data, cfg, init = _poisson_case(True, False)
     cfg = replace(cfg, truncation=replace(cfg.truncation, m=3))
     rec = run(data, cfg, init)
-    _, _, state = _replay(data, cfg, init)
+    _, _, state = replay(data, cfg, init)
     assert state.region.m > 3
     assert rec.truncation_events == state.region.m - 3

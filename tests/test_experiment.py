@@ -521,6 +521,36 @@ def test_cli_bench_prints_json(tmp_path, capsys):
     assert payload["status"] == "ok"
 
 
+def _strict_json(text):
+    """Parse JSON as RFC 8259 has it: no NaN or infinity tokens."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+def test_cli_json_outputs_are_strict(tmp_path, capsys, command):
+    # k-means has no log-likelihood, and --c3 inf is an infinite constant:
+    # both are null in every JSON output, and nan stays in the CSV files
+    out = tmp_path / "out"
+    rc = cli_main([
+        command, "--template", str(IRIS_CSV), "--n", "300", "--epochs", "1",
+        "--variant", "kmeans", "--c3", "inf", "--out-dir", str(out),
+    ])
+    assert rc == 0
+    summary = _strict_json((out / "summary.json").read_text())
+    assert {r["mean"] for r in summary if r["metric"] == "loglik"} == {None}
+    assert _strict_json((out / "meta.json").read_text())["truncation"] == [1000.0, 1000.0, None]
+    assert "kmeans,loglik,0,nan,nan,nan" in (out / "summary.csv").read_text()
+    printed = capsys.readouterr().out
+    if command == "bench":
+        row = _strict_json(printed)
+        assert row["variant"] == "kmeans" and row["loglik"] is None
+        assert row["ari"] is not None
+
+
 @pytest.mark.parametrize("command", ["simulate", "bench"])
 def test_cli_builds_the_template_once(tmp_path, monkeypatch, command):
     # the default g, the sampled data and meta.json share one template fit

@@ -9,8 +9,8 @@ Prints one JSON object that maps each case to sha256 digests of its arrays:
   d = 1, 4 and 50.  At g = 3, ``kmeans/...-emptied`` starts from the same
   means with the last one at 1e6 in every coordinate, so that the first
   sweep empties that cluster and reseeds it from the farthest row;
-* ``run/...``: every field of a :class:`mbem.RunRecord` but its timings
-  (and the iterates, kept only on request), over 54 runs: d = 1, 4 and 50; batch EM and batch sizes 1, 2, 10 and
+* ``run/...``: every field of a :class:`mbem.RunRecord` but its timings,
+  over 54 runs: d = 1, 4 and 50; batch EM and batch sizes 1, 2, 10 and
   500; truncated or not (mini-batch only) and Polyak-averaged or not.  A
   run that fails records its error type and message instead;
 * ``dataset_loglik/...``, ``map_labels/...``, ``log_densities/...`` and
