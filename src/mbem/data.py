@@ -13,7 +13,6 @@ import io
 import struct
 import zlib
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -30,33 +29,13 @@ _IDX_UBYTE = 0x08
 _MAX_ELEMENTS = 1 << 40  # dimension-overflow guard
 
 
-@dataclass(frozen=True)
-class IdxImageSet:
-    """Parsed IDX image set: n x (rows*cols) pixel bytes plus optional labels."""
-
-    pixels: np.ndarray
-    rows: int
-    cols: int
-    labels: np.ndarray | None = None
-
-    @property
-    def n(self) -> int:
-        return self.pixels.shape[0]
-
-
-def _open_idx(src) -> io.BufferedIOBase:
-    if isinstance(src, (str, Path)):
-        raw = open(src, "rb")
-        if raw.read(2) == b"\x1f\x8b":
-            raw.close()
-            return gzip.open(src, "rb")
-        raw.seek(0)
-        return raw
-    # a caller-supplied stream need not seek: read it whole
-    payload = src.read()
-    if payload[:2] == b"\x1f\x8b":
-        payload = gzip.decompress(payload)
-    return io.BytesIO(payload)
+def _open_idx(path) -> io.BufferedIOBase:
+    raw = open(path, "rb")
+    if raw.read(2) == b"\x1f\x8b":
+        raw.close()
+        return gzip.open(path, "rb")
+    raw.seek(0)
+    return raw
 
 
 def _read_exact(f, count: int, offset: int) -> bytes:
@@ -94,22 +73,23 @@ def _read_idx_tensor(f) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def _read_idx_file(src) -> np.ndarray:
-    """The tensor of one IDX file or stream; a damaged gzip layer is a
-    format violation too."""
+def _read_idx_file(path) -> np.ndarray:
+    """The tensor of one IDX file; a damaged gzip layer is a format
+    violation too."""
     try:
-        with _open_idx(src) as f:
+        with _open_idx(path) as f:
             return _read_idx_tensor(f)
-    except (EOFError, zlib.error) as exc:
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         raise IdxFormatError(f"damaged gzip stream: {exc}") from exc
 
 
-def read_idx(images, labels=None) -> IdxImageSet:
+def read_idx(images, labels=None) -> tuple[np.ndarray, np.ndarray | None]:
     """Parse an IDX image file (and optionally its label file).
 
-    Accepts paths or binary streams; gzip-compressed inputs are detected by
-    their magic bytes.  Format violations raise :class:`IdxFormatError` with
-    the byte offset of the problem.
+    Takes file paths, plain or gzip (detected by their magic bytes), and
+    returns the n x (rows*cols) pixel bytes with the label vector (None
+    without a label file).  Format violations raise :class:`IdxFormatError`
+    with the byte offset of the problem.
     """
     tensor = _read_idx_file(images)
     if tensor.ndim != 3:
@@ -127,7 +107,7 @@ def read_idx(images, labels=None) -> IdxImageSet:
             raise IdxFormatError(
                 f"label count {label_vec.shape[0]} does not match image count {n}"
             )
-    return IdxImageSet(pixels=pixels, rows=rows, cols=cols, labels=label_vec)
+    return pixels, label_vec
 
 
 def drop_constant_pixels(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -177,8 +177,8 @@ class IdxSource:
         for files in zip(self.images, labels):
             with _reading(", ".join(filter(None, files))):
                 sets.append(read_idx(*files))
-        labels = np.concatenate([s.labels for s in sets]) if self.labels else None
-        pixels = np.vstack([s.pixels for s in sets])
+        labels = np.concatenate([lab for _, lab in sets]) if self.labels else None
+        pixels = np.vstack([pix for pix, _ in sets])
         # Free the per-file arrays once stacked, and the stack once filtered.
         del sets
         dense, _ = drop_constant_pixels(pixels)

@@ -20,10 +20,10 @@ def dataset_loglik(data: np.ndarray, theta: MixtureParams) -> float:
     result is independent of data ordering and duplicating every observation
     doubles the value exactly.
     """
-    data = np.asarray(data, dtype=float)
-    if data.shape[0] < 1:
+    dens = _density_pass(data, theta)[0]
+    if dens.shape[0] < 1:
         raise InvalidInputError("need at least one observation")
-    return _exact_sum(_density_pass(data, theta)[0])
+    return _exact_sum(dens)
 
 
 def map_labels(data: np.ndarray, theta: MixtureParams) -> np.ndarray:

@@ -105,16 +105,16 @@ def stats_from_params(theta):
     return SuffStats(*_stats(_stack(theta)))
 
 
-def write_idx(dataset, images_path, labels_path=None):
-    """Write an ``IdxImageSet``, and its labels when ``labels_path`` is
-    given, as unsigned-byte IDX files."""
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">BBBBIII", 0, 0, 0x08, 3, dataset.n, dataset.rows, dataset.cols))
-        f.write(np.ascontiguousarray(dataset.pixels, dtype=np.uint8).tobytes())
-    if labels_path is not None:
-        with open(labels_path, "wb") as f:
-            f.write(struct.pack(">BBBBI", 0, 0, 0x08, 1, dataset.n))
-            f.write(np.ascontiguousarray(dataset.labels, dtype=np.uint8).tobytes())
+def idx_bytes(array):
+    """The unsigned-byte IDX encoding of ``array``, whose shape is the header."""
+    array = np.ascontiguousarray(array, dtype=np.uint8)
+    return struct.pack(f">BBBB{array.ndim}I", 0, 0, 0x08, array.ndim, *array.shape) + array.tobytes()
+
+
+def write_idx(path, array):
+    """Write ``array`` (n x rows x cols images, or n labels) as an IDX file."""
+    with open(path, "wb") as f:
+        f.write(idx_bytes(array))
 
 
 @pytest.fixture

@@ -423,9 +423,9 @@ def _mnist_files():
 def test_criterion_9_image_pipeline():
     files = _mnist_files()
     t0 = time.perf_counter()
-    train = read_idx(files["train_images"], files["train_labels"])
-    test = read_idx(files["test_images"], files["test_labels"])
-    pixels = np.vstack([train.pixels, test.pixels])
+    train_pixels, _ = read_idx(files["train_images"], files["train_labels"])
+    test_pixels, _ = read_idx(files["test_images"], files["test_labels"])
+    pixels = np.vstack([train_pixels, test_pixels])
     dense, kept = drop_constant_pixels(pixels)
     assert pixels.shape[0] == 70_000
     assert dense.shape[1] == 719

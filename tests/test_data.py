@@ -1,5 +1,4 @@
 import gzip
-import io
 import struct
 import tracemalloc
 from pathlib import Path
@@ -8,7 +7,6 @@ import numpy as np
 import pytest
 
 from mbem.data import (
-    IdxImageSet,
     drop_constant_pixels,
     fit_pca,
     kmeans,
@@ -22,141 +20,115 @@ from mbem.errors import IdxFormatError, InitializationError, InvalidInputError
 from mbem.families import Gaussian, MixtureParams, sample
 from mbem.metrics import adjusted_rand_index
 
-from conftest import count_cholesky, make_gaussian_mixture, write_idx
+from conftest import count_cholesky, idx_bytes, make_gaussian_mixture, write_idx
 
 IRIS_CSV = Path(__file__).parent / "data" / "iris.csv"
 
 
-def _idx_images_bytes(pixels, rows, cols):
-    n = len(pixels)
-    head = struct.pack(">BBBB", 0, 0, 0x08, 3) + struct.pack(">III", n, rows, cols)
-    return head + bytes(np.asarray(pixels, dtype=np.uint8).ravel())
+_PIXELS = [[1, 2, 3, 4], [5, 6, 7, 8]]
 
 
-def _idx_labels_bytes(labels):
-    head = struct.pack(">BBBB", 0, 0, 0x08, 1) + struct.pack(">I", len(labels))
-    return head + bytes(np.asarray(labels, dtype=np.uint8))
+def _images_bytes(pixels=_PIXELS):
+    """Two-by-two IDX images from rows of four pixels."""
+    return idx_bytes(np.reshape(pixels, (-1, 2, 2)))
+
+
+def _idx_file(tmp_path, raw, name="imgs.idx"):
+    path = tmp_path / name
+    path.write_bytes(raw)
+    return path
 
 
 # ---------------------------------------------------------------------------
 # IDX parsing
 # ---------------------------------------------------------------------------
 
-def test_read_idx_hand_built_fixture():
-    raw = _idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]], 2, 2)
-    ds = read_idx(io.BytesIO(raw))
-    assert ds.n == 2 and ds.rows == 2 and ds.cols == 2
-    assert np.array_equal(ds.pixels, [[1, 2, 3, 4], [5, 6, 7, 8]])
-    assert ds.labels is None
+def test_read_idx_hand_built_fixture(tmp_path):
+    pixels, labels = read_idx(_idx_file(tmp_path, _images_bytes()))
+    assert np.array_equal(pixels, _PIXELS)
+    assert labels is None
 
 
-def test_read_idx_with_labels():
-    imgs = _idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]], 2, 2)
-    labs = _idx_labels_bytes([9, 4])
-    ds = read_idx(io.BytesIO(imgs), io.BytesIO(labs))
-    assert np.array_equal(ds.labels, [9, 4])
+def test_read_idx_with_labels(tmp_path):
+    imgs = _idx_file(tmp_path, _images_bytes())
+    labs = _idx_file(tmp_path, idx_bytes([9, 4]), "labs.idx")
+    _, labels = read_idx(imgs, labs)
+    assert np.array_equal(labels, [9, 4])
 
 
-def test_read_idx_truncated_payload_reports_offset():
-    raw = _idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]], 2, 2)[:-1]
+def test_read_idx_truncated_payload_reports_offset(tmp_path):
     with pytest.raises(IdxFormatError, match="offset 16"):
-        read_idx(io.BytesIO(raw))
+        read_idx(_idx_file(tmp_path, _images_bytes()[:-1]))
 
 
-def test_read_idx_truncated_header():
+def test_read_idx_truncated_header(tmp_path):
     with pytest.raises(IdxFormatError, match="offset"):
-        read_idx(io.BytesIO(b"\x00\x00\x08"))
+        read_idx(_idx_file(tmp_path, b"\x00\x00\x08"))
 
 
-def test_read_idx_bad_magic():
+def test_read_idx_bad_magic(tmp_path):
     raw = b"\x01\x00\x08\x03" + struct.pack(">III", 1, 1, 1) + b"\x00"
     with pytest.raises(IdxFormatError, match="magic"):
-        read_idx(io.BytesIO(raw))
+        read_idx(_idx_file(tmp_path, raw))
 
 
-def test_read_idx_wrong_type_code():
+def test_read_idx_wrong_type_code(tmp_path):
     raw = b"\x00\x00\x0d\x03" + struct.pack(">III", 1, 1, 1) + b"\x00"
     with pytest.raises(IdxFormatError, match="type code"):
-        read_idx(io.BytesIO(raw))
+        read_idx(_idx_file(tmp_path, raw))
 
 
-def test_read_idx_trailing_bytes_rejected():
-    raw = _idx_images_bytes([[1, 2, 3, 4]], 2, 2) + b"\x00"
+def test_read_idx_trailing_bytes_rejected(tmp_path):
+    raw = _images_bytes(_PIXELS[:1]) + b"\x00"
     with pytest.raises(IdxFormatError, match="trailing"):
-        read_idx(io.BytesIO(raw))
+        read_idx(_idx_file(tmp_path, raw))
 
 
-def test_read_idx_dimension_overflow():
+def test_read_idx_dimension_overflow(tmp_path):
     raw = struct.pack(">BBBB", 0, 0, 0x08, 3) + struct.pack(">III", 2**31 - 1, 2**31 - 1, 784)
     with pytest.raises(IdxFormatError, match="overflow"):
-        read_idx(io.BytesIO(raw))
+        read_idx(_idx_file(tmp_path, raw))
 
 
-def test_read_idx_label_count_mismatch():
-    imgs = _idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]], 2, 2)
-    labs = _idx_labels_bytes([1])
+def test_read_idx_label_count_mismatch(tmp_path):
+    imgs = _idx_file(tmp_path, _images_bytes())
+    labs = _idx_file(tmp_path, idx_bytes([1]), "labs.idx")
     with pytest.raises(IdxFormatError, match="match"):
-        read_idx(io.BytesIO(imgs), io.BytesIO(labs))
+        read_idx(imgs, labs)
 
 
 def test_idx_round_trip_bit_exact(tmp_path, rng):
     pixels = rng.integers(0, 256, size=(7, 12), dtype=np.uint8)
     labels = rng.integers(0, 10, size=7).astype(np.uint8)
-    ds = IdxImageSet(pixels=pixels, rows=3, cols=4, labels=labels)
     ip, lp = tmp_path / "imgs.idx", tmp_path / "labs.idx"
-    write_idx(ds, ip, lp)
-    back = read_idx(ip, lp)
-    assert np.array_equal(back.pixels, pixels)
-    assert np.array_equal(back.labels, labels)
-    assert (back.rows, back.cols) == (3, 4)
+    write_idx(ip, pixels.reshape(7, 3, 4))
+    write_idx(lp, labels)
+    back_pixels, back_labels = read_idx(ip, lp)
+    assert np.array_equal(back_pixels, pixels)
+    assert np.array_equal(back_labels, labels)
 
 
 def test_read_idx_gzip(tmp_path):
-    raw = _idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]], 2, 2)
-    gz = tmp_path / "imgs.idx.gz"
-    with gzip.open(gz, "wb") as f:
-        f.write(raw)
-    ds = read_idx(gz)
-    assert np.array_equal(ds.pixels, [[1, 2, 3, 4], [5, 6, 7, 8]])
-    # streams are sniffed too
-    ds2 = read_idx(io.BytesIO(gz.read_bytes()))
-    assert np.array_equal(ds2.pixels, ds.pixels)
+    gz = _idx_file(tmp_path, gzip.compress(_images_bytes()), "imgs.idx.gz")
+    pixels, _ = read_idx(gz)
+    assert np.array_equal(pixels, _PIXELS)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "bad-block"])
+@pytest.mark.parametrize("damage", ["truncated", "bad-block", "crc", "trailing"])
 def test_read_idx_damaged_gzip_is_a_format_error(tmp_path, damage):
-    # gzip reports these as EOFError and zlib.error, which name no format
-    raw = gzip.compress(_idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]] * 50, 2, 2))
+    # gzip reports these as EOFError, zlib.error and gzip.BadGzipFile (an
+    # OSError), which name no format
+    raw = gzip.compress(_images_bytes(_PIXELS * 50))
     if damage == "truncated":
         raw = raw[: len(raw) // 2]
-    else:
+    elif damage == "bad-block":
         raw = raw[:10] + b"\xff" + raw[11:]  # first deflate block: reserved type 3
-    path = tmp_path / "imgs.idx.gz"
-    path.write_bytes(raw)
-    for src in (path, io.BytesIO(raw)):
-        with pytest.raises(IdxFormatError, match="damaged gzip stream"):
-            read_idx(src)
-
-
-class _ReadOnlyStream:
-    """A stream with ``read`` alone: it cannot seek, tell, peek or readinto."""
-
-    def __init__(self, payload: bytes):
-        self._buf = io.BytesIO(payload)
-
-    def read(self, size=-1):
-        return self._buf.read(size)
-
-
-@pytest.mark.parametrize("pack", [bytes, gzip.compress], ids=["plain", "gzip"])
-def test_read_idx_read_only_stream(pack):
-    imgs = _idx_images_bytes([[1, 2, 3, 4], [5, 6, 7, 8]], 2, 2)
-    labs = _idx_labels_bytes([9, 4])
-    ds = read_idx(_ReadOnlyStream(pack(imgs)), _ReadOnlyStream(pack(labs)))
-    assert np.array_equal(ds.pixels, [[1, 2, 3, 4], [5, 6, 7, 8]])
-    assert np.array_equal(ds.labels, [9, 4])
-    with pytest.raises(IdxFormatError, match="offset 16"):
-        read_idx(_ReadOnlyStream(pack(imgs[:-1])))
+    elif damage == "crc":
+        raw = raw[:-8] + bytes([raw[-8] ^ 0xFF]) + raw[-7:]  # trailer's CRC-32
+    else:
+        raw = raw + b"junk"  # bytes after the member that start no member
+    with pytest.raises(IdxFormatError, match="damaged gzip stream"):
+        read_idx(_idx_file(tmp_path, raw, "imgs.idx.gz"))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mbem.cli import main as cli_main
-from mbem.data import IdxImageSet, kmeans, random_partition_init
+from mbem.data import kmeans, random_partition_init
 from mbem.engine import LearningRate, RunConfig, run
 from mbem.experiment import (
     RESULTS_COLUMNS,
@@ -680,7 +680,8 @@ def _write_corpus(directory, n=200):
     labels = np.repeat(np.arange(2, dtype=np.uint8), n // 2)
     pixels = rng.integers(0, 60, size=(n, 16)) + 120 * labels[:, None]
     images, label_file = directory / "images.idx", directory / "labels.idx"
-    write_idx(IdxImageSet(pixels=pixels, rows=4, cols=4, labels=labels), images, label_file)
+    write_idx(images, pixels.reshape(n, 4, 4))
+    write_idx(label_file, labels)
     return images, label_file
 
 
@@ -693,7 +694,7 @@ def test_idx_load_holds_one_float_chunk(tmp_path):
     n, d = 2 * _CHUNK_ROWS, 784
     rng = np.random.default_rng(3)
     pixels = rng.integers(0, 256, size=(n, d), dtype=np.uint8)
-    write_idx(IdxImageSet(pixels=pixels, rows=28, cols=28), tmp_path / "images.idx")
+    write_idx(tmp_path / "images.idx", pixels.reshape(n, 28, 28))
     del pixels
     bound = 2 * n * d + 8 * d * (1.25 * _CHUNK_ROWS + 2 * d)  # fixed before measuring
     source = IdxSource((str(tmp_path / "images.idx"),), (), d_pc=10)

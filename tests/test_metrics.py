@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mbem.errors import DegeneratePointError, InvalidInputError
-from mbem.families import Exponential, Gaussian, MixtureParams, Poisson, responsibilities_batch, sample
+from mbem.families import (
+    Exponential,
+    Gaussian,
+    MixtureParams,
+    Poisson,
+    log_densities,
+    responsibilities_batch,
+    sample,
+)
 from mbem.metrics import (
     _contingency,
     _exact_sum,
@@ -65,8 +73,14 @@ def test_loglik_order_invariance(rng):
     assert dataset_loglik(data, theta) == dataset_loglik(shuffled, theta)
 
 
+def test_loglik_of_a_scalar_is_its_log_density(rng):
+    # a scalar is one observation of a d = 1 mixture, as in log_densities
+    theta = make_gaussian_mixture(rng, 1, 2)
+    assert dataset_loglik(0.3, theta) == log_densities(0.3, theta)[0]
+
+
 def test_loglik_requires_data():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="need at least one observation"):
         dataset_loglik(np.zeros((0, 1)), STD_NORMAL_1D)
 
 
