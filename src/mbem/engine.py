@@ -13,20 +13,26 @@ reset to a projected statistic inside the base region and grows the region
 index by one.  So two values choose the variant: the batch size (none for
 batch EM) and the region (none for untruncated EM).
 
-:func:`run` works on stacked arrays: the statistic blocks
-``(mass, moment1, moment2)`` and the parameter stack of
-:mod:`mbem.families` (weights, means, covariances, their Cholesky factors
-and log normalisers, or rates).  Each M-step factorises once and the next
-E-step reuses that factor.  The step, ``_advance``, is the one place a
-truncation reset happens (``_reset``): it starts from the batch E-step the
-rejected step computed, projects its M-step image into the base region
-(``_project``) and rebuilds the statistic from it, also on arrays, and hands
-back the factored M-step image it tested.  Batch indices are drawn with one
-generator call per epoch.  ``MixtureParams`` objects are built only at epoch
-boundaries, for the trace and the returned results.  The public step
-functions wrap the same array maps and read the region from the state they
-are given: :func:`minibatch_step` on a state with a region performs exactly
-that reset and returns the state with the index one higher.
+:func:`run` advances a group of runs in lockstep: runs on the same data
+from the same init with the same epochs, batch size and schedule, which
+differ only in seed, region and averaging.  It works on stacked arrays with
+a leading run (member) axis: the statistic blocks ``(mass, moment1,
+moment2)`` and the parameter stack of :mod:`mbem.families` (weights, means,
+covariances, their Cholesky factors and log normalisers, or rates).  Each
+M-step factorises once and the next E-step reuses that factor.  A
+Gaussian group at batch size 1 takes one E-step for every member's row;
+any other batch is one member's at a time.  The step after the E-step,
+``_advance``, is the one place a truncation reset happens (``_reset``, on
+the member's own slice): it
+starts from the batch E-step the rejected step computed, projects its
+M-step image into the base region (``_project``) and rebuilds the
+statistic from it, also on arrays.  Each member draws its batch indices
+from its own generator, a slice of an epoch per call.  ``MixtureParams``
+objects are built only at epoch boundaries, for the trace and the returned
+results.  The public step functions wrap the same array maps, as a group
+of one, and read the region from the state they are given:
+:func:`minibatch_step` on a state with a region performs exactly that reset
+and returns the state with the index one higher.
 """
 
 from __future__ import annotations
@@ -52,6 +58,7 @@ from .families import (
     _blend,
     _estep,
     _mstep,
+    _row_estep,
     _stack,
     _Stacked,
     _stats,
@@ -118,23 +125,34 @@ class TruncationRegion:
             raise InvalidInputError("region index must be nonnegative")
 
 
-def _inside(p: _Stacked, region: TruncationRegion) -> bool:
-    """Whether a parameter stack lies in the region at its current index;
-    one batched ``eigvalsh``.
+def _inside(p: _Stacked, regions: list) -> list:
+    """Per member of a parameter stack with a leading member axis, whether
+    it lies in its region (``regions``, one per member) at that region's
+    current index; one batched ``eigvalsh``.
 
-    Each bound is tested on one extreme value.  As in an elementwise test, a
-    NaN weight or mean coordinate is never out of bounds (``fmin``/``fmax``
-    skip it) and a NaN eigenvalue or rate is never in bounds."""
-    m = float(region.m)
-    if np.fmin.reduce(p.weights) < 1.0 / (region.c1 + m):
-        return False
-    lo, hi = 1.0 / (region.c3 + m), region.c3 + m
+    Each bound is tested on one extreme value per member.  As in an
+    elementwise test, a NaN weight or mean coordinate is never out of bounds
+    (``fmin``/``fmax`` skip it) and a NaN eigenvalue or rate is never in
+    bounds."""
+    weights = np.fmin.reduce(p.weights, axis=-1).tolist()
     if p.family == "gaussian":
-        if np.fmax.reduce(np.abs(p.means), axis=None) > region.c2 + m:
-            return False
+        means = np.fmax.reduce(np.abs(p.means), axis=(-2, -1)).tolist()
         eigs = np.linalg.eigvalsh(p.covs)
-        return bool(eigs[:, 0].min() >= lo and eigs[:, -1].max() <= hi)
-    return bool(p.rates.min() >= lo and p.rates.max() <= hi)
+        low, high = eigs[..., 0], eigs[..., -1]
+    else:
+        means = [-math.inf] * len(regions)
+        low = high = p.rates
+    low = np.minimum.reduce(low, axis=-1).tolist()
+    high = np.maximum.reduce(high, axis=-1).tolist()
+    out = []
+    for region, w, mu, lo, hi in zip(regions, weights, means, low, high):
+        m = float(region.m)
+        out.append(
+            not (w < 1.0 / (region.c1 + m) or mu > region.c2 + m)
+            and lo >= 1.0 / (region.c3 + m)
+            and hi <= region.c3 + m
+        )
+    return out
 
 
 def _project(p: _Stacked, region: TruncationRegion, margin: float = 0.0) -> _Stacked:
@@ -210,28 +228,90 @@ def _check_gamma(gamma: float) -> None:
         raise InvalidInputError(f"step size must lie in (0, 1], got {gamma}")
 
 
-def _advance(
-    stats: tuple, params: _Stacked, batch: np.ndarray, gamma: float, region: TruncationRegion | None
-) -> tuple:
-    """One step on arrays: ``(stats, params, region)`` after the step.
+def _member(x: tuple, i) -> tuple:
+    """Member ``i`` of a statistic triple or parameter stack with a leading
+    member axis: a view without that axis for an int, a view for a slice, a
+    copy for a list of positions, and with ``i = None`` a view of the whole
+    as a group of one."""
+    items = [a if a is None or isinstance(a, str) else a[i] for a in x]
+    return _Stacked(*items) if isinstance(x, _Stacked) else tuple(items)
+
+
+def _join(members: list) -> tuple:
+    """Statistic triples or parameter stacks stacked along a new leading
+    member axis, the inverse of :func:`_member`."""
+    first = members[0]
+    # np.array copies the same values as np.stack, with less call overhead.
+    items = [
+        a if a is None or isinstance(a, str) else np.array([m[k] for m in members])
+        for k, a in enumerate(first)
+    ]
+    return _Stacked(*items) if isinstance(first, _Stacked) else tuple(items)
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the :class:`EstimationError` it raises."""
+    try:
+        return fn(*args)
+    except EstimationError as exc:
+        return exc
+
+
+def _advance(stats: tuple, params: _Stacked, sbar: tuple, gamma: float, regions: list) -> tuple:
+    """One step of a group after its E-step, on arrays with a leading member
+    axis: ``(stats, params, regions, failed)`` after the step.
 
     ``stats`` is ``(mass, moment1, moment2)``, ``params`` the factored stack
-    of its M-step image and ``batch`` a validated (n, d) matrix.  With a
-    ``region`` the step is truncated and a reset goes through :func:`_reset`.
+    of its M-step image, ``sbar`` each member's batch E-step at ``params``
+    and ``regions`` each member's region, None for an untruncated member.
+    One M-step serves the group; when it fails, it is redone member by
+    member to find whose it is.  Only truncated members take the region
+    test, and a reset goes through :func:`_reset` on the member's own slice.
+    ``failed`` maps the position of each member whose step failed to its
+    error; the returned arrays still hold that member's rows.
     """
-    sbar = _estep(batch, params)
     candidate = _blend(stats, sbar, gamma)
-    if region is None:
-        return candidate, _mstep(candidate, params.family), None
+    failed, outside = {}, []
     try:
         theta = _mstep(candidate, params.family)
-        inside = _inside(theta, region)
-    except (EmptyComponentError, DegenerateComponentError):
-        inside = False
-    if inside:
-        return candidate, theta, region
-    stats, theta = _reset(params, sbar, region)
-    return stats, theta, replace(region, m=region.m + 1)
+    except EstimationError:
+        images = [_attempt(_mstep, _member(candidate, i), params.family) for i in range(len(regions))]
+        for i, image in enumerate(images):
+            if not isinstance(image, Exception):
+                continue
+            if regions[i] is not None and isinstance(image, (EmptyComponentError, DegenerateComponentError)):
+                outside.append(i)
+            else:
+                failed[i] = image
+        # A failed member keeps its last accepted parameters until it resets or leaves.
+        theta = _join([
+            _member(params, i) if isinstance(image, Exception) else image
+            for i, image in enumerate(images)
+        ])
+    tested = [
+        i for i, region in enumerate(regions)
+        if region is not None and i not in failed and i not in outside
+    ]
+    if len(tested) == len(regions):
+        outside = [i for i, ok in enumerate(_inside(theta, regions)) if not ok]
+    elif tested:
+        # A run of positions is a view; the test needs no copy of it.
+        span = slice(tested[0], tested[-1] + 1)
+        sub = _member(theta, span if span.stop - span.start == len(tested) else tested)
+        inside = _inside(sub, [regions[i] for i in tested])
+        outside += [i for i, ok in zip(tested, inside) if not ok]
+    regions = list(regions)
+    for i in outside:
+        try:
+            reset = _reset(_member(params, i), _member(sbar, i), regions[i])
+        except EstimationError as exc:
+            failed[i] = exc
+            continue
+        for whole, part in zip((*candidate, *theta[1:]), (*reset[0], *reset[1][1:])):
+            if whole is not None:
+                whole[i] = part
+        regions[i] = replace(regions[i], m=regions[i].m + 1)
+    return candidate, theta, regions, failed
 
 
 def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
@@ -246,22 +326,29 @@ def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
     _check_gamma(gamma)
     data = _as_data_matrix(batch, state.theta.dim)
     s = state.stats
-    stats, params, region = _advance(
-        (s.mass, s.moment1, s.moment2), _stack(state.theta), data, gamma, state.region
+    params = _stack(state.theta)
+    stats, params, regions, failed = _advance(
+        _member((s.mass, s.moment1, s.moment2), None),
+        _member(params, None),
+        _member(_estep(data, params), None),
+        gamma,
+        [state.region],
     )
-    return EmState(SuffStats(*stats), params.mixture(), region)
+    if failed:
+        raise failed[0]
+    return EmState(SuffStats(*_member(stats, 0)), _member(params, 0).mixture(), regions[0])
 
 
 def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
     """Replacement statistic inside the base region after a truncation event.
 
     ``sbar`` is the batch E-step at ``params``, the last accepted
-    parameters.  Its M-step image (``params`` itself when that image is
-    undefined) is projected into the base (m = 0) region of ``region``, and
-    the statistic is rebuilt from the projected parameters.  Returns the
-    statistic blocks and their factored M-step image.  Deterministic given
-    its inputs; raises :class:`TruncationError` when no projection lands
-    inside the base region.
+    parameters of one run.  Its M-step image (``params`` itself when that
+    image is undefined) is projected into the base (m = 0) region of
+    ``region``, and the statistic is rebuilt from the projected parameters.
+    Returns the statistic blocks and their factored M-step image.
+    Deterministic given its inputs; raises :class:`TruncationError` when no
+    projection lands inside the base region.
     """
     try:
         anchor = _mstep(sbar, params.family)
@@ -273,7 +360,7 @@ def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
     for margin in (0.0, 1e-12, 1e-9, 1e-6):
         stats = _stats(_project(anchor, region, margin))
         theta = _mstep(stats, params.family)
-        if _inside(theta, base):
+        if _inside(_member(theta, None), [base])[0]:
             return stats, theta
     raise TruncationError("projection failed to land inside the base region")
 
@@ -347,7 +434,8 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced: parameters, per-epoch traces, counts, timings."""
+    """Everything one run produced: parameters, per-epoch traces, counts,
+    timings.  The runs of one :func:`run` call share its wall and CPU time."""
 
     final_theta: MixtureParams
     polyak_theta: MixtureParams | None
@@ -359,8 +447,56 @@ class RunRecord:
     cpu_time: float
 
 
-def run(data: np.ndarray, config: RunConfig, init: MixtureParams) -> RunRecord:
-    """Execute one configured run and record its trace.
+def _lockstep(configs: tuple) -> RunConfig:
+    """The first of ``configs``, once they are checked to run in lockstep."""
+    if not configs or not all(isinstance(c, RunConfig) for c in configs):
+        raise InvalidInputError("run takes a RunConfig or a non-empty tuple of them")
+    lead = configs[0]
+    for c in configs[1:]:
+        if (c.epochs, c.batch_size, c.learning_rate) != (lead.epochs, lead.batch_size, lead.learning_rate):
+            raise InvalidInputError(
+                "runs in lockstep must share epochs, batch_size and learning_rate; "
+                f"got {c} beside {lead}"
+            )
+    return lead
+
+
+#: Most batch indices a run draws per generator call (64 KiB of int64).
+#: Below one run's epoch of indices, this pays for the parameters a group's
+#: other runs hold, and it still draws many batch-size-1 steps per call.
+_DRAW_ELEMENTS = 2**13
+
+
+def _draws(rng: np.random.Generator, n: int, batch_size: int, epochs: int, per_epoch: int, rows: int):
+    """One run's batch index rows: the first batch's, then each iteration's.
+
+    An epoch is drawn ``rows`` iterations per call, the stream of one call
+    per batch, so a run holds at most ``rows`` iterations' indices between
+    its steps.
+    """
+    yield rng.integers(0, n, size=batch_size)
+    for _ in range(epochs):
+        for start in range(0, per_epoch, rows):
+            yield from rng.integers(0, n, size=(min(rows, per_epoch - start), batch_size))
+
+
+def _drop(r: int, failed: dict, out: list, live: list, *members) -> list:
+    """``live`` and each per-member list or stack of ``members`` without
+    the positions in ``failed``, whose errors go to ``out`` as
+    :class:`EngineRunError` at iteration ``r``."""
+    for i, exc in failed.items():
+        out[live[i]] = error = EngineRunError(r, str(exc))
+        error.__cause__ = exc
+    keep = [i for i in range(len(live)) if i not in failed]
+    return [[live[i] for i in keep]] + [
+        None if x is None else [x[i] for i in keep] if isinstance(x, list) else _member(x, keep)
+        for x in members
+    ]
+
+
+def run(data: np.ndarray, config, init: MixtureParams):
+    """Execute one configured run, or a tuple of runs in lockstep, and
+    record each one's trace.
 
     ``config.batch_size`` and ``config.truncation`` choose the variant (see
     :class:`RunConfig`).  Mini-batch variants perform epochs * ceil(n / N)
@@ -374,72 +510,123 @@ def run(data: np.ndarray, config: RunConfig, init: MixtureParams) -> RunRecord:
     index m over the run.  Identical seed and config give a bit-identical
     record apart from the timing fields.
 
+    ``config`` may also be a tuple of configs that share ``epochs``,
+    ``batch_size`` and ``learning_rate`` (else :class:`InvalidInputError`);
+    they differ only in seed, region and averaging.  Their runs advance in
+    lockstep on arrays with a leading run axis, so each NumPy call serves
+    all of them, and the result is a tuple with one entry per config.  Each
+    entry is the record the config gives alone, bit for bit apart from the
+    timings: every record of the tuple reports the wall and CPU time of the
+    whole call.  A run that fails leaves the group, and its entry is the
+    :class:`EngineRunError` that it raises alone; the others run on.  A
+    single ``RunConfig`` is a group of one: its record is returned, and its
+    failure raised.  Each run draws about 1/R of an epoch's batch indices
+    per generator call for R runs, and at most ``_DRAW_ELEMENTS``, so a
+    group holds no more indices than one run's epoch.
+
     The loop works on stacked arrays (see the module docstring).  ``data``
     is checked once: a non-finite row or a wrong width raises
-    :class:`EngineRunError` at iteration 0.  The record equals iterating
-    :func:`minibatch_step` from a state that carries ``config.truncation``,
-    and :func:`polyak_update`, on the same draws, bit for bit; that replay
-    gives the parameters of every step, which the record does not keep.
+    :class:`EngineRunError` at iteration 0, whatever the group.  The record
+    equals iterating :func:`minibatch_step` from a state that carries
+    ``config.truncation``, and :func:`polyak_update`, on the same draws, bit
+    for bit; that replay gives the parameters of every step, which the
+    record does not keep.
     """
     wall0, cpu0 = time.perf_counter(), time.process_time()
+    configs = (config,) if isinstance(config, RunConfig) else tuple(config)
+    lead = _lockstep(configs)
     try:
         data = _as_data_matrix(data, init.dim)
     except InvalidInputError as exc:
         raise EngineRunError(0, str(exc)) from exc
     n = data.shape[0]
-    full = config.batch_size is None
+    full = lead.batch_size is None
+    params = _join([_stack(init)] * len(configs))
     if full:
         per_epoch = 1
-    else:
-        if config.batch_size > n:
-            raise InvalidInputError(f"batch size {config.batch_size} exceeds data size {n}")
-        per_epoch = math.ceil(n / config.batch_size)
-        rng = np.random.default_rng(config.seed)
-
-    def batches():
-        """Every iteration's batch: the data itself (batch EM), or rows drawn
-        with one index call per epoch, which yields the same stream as one
-        call per batch and holds at most n + N - 1 indices."""
-        for _ in range(config.epochs):
-            if full:
-                yield data
-            else:
-                for rows in rng.integers(0, n, size=(per_epoch, config.batch_size)):
-                    yield data.take(rows, axis=0)
-
-    try:
-        params = _stack(init)
-        if full:
-            # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
-            stats = _stats(params)
-        else:
-            stats = _estep(data.take(rng.integers(0, n, size=config.batch_size), axis=0), params)
-    except EstimationError as exc:
-        raise EngineRunError(0, str(exc)) from exc
-    region = config.truncation
-    total = config.epochs * per_epoch
-    acc = None
-    trace, polyak_trace = [], []
-    for r, batch in enumerate(batches(), start=1):
-        gamma = 1.0 if full else config.learning_rate.at(r)
+        draws = [None] * len(configs)
         try:
-            stats, params, region = _advance(stats, params, batch, gamma, region)
+            # At gamma = 1 the blend keeps none of s0 (0 * s0 + 1 * s == s).
+            stats = _join([_stats(_member(params, 0))] * len(configs))
         except EstimationError as exc:
-            raise EngineRunError(r, str(exc)) from exc
-        if config.polyak:
+            raise EngineRunError(0, str(exc)) from exc
+    else:
+        if lead.batch_size > n:
+            raise InvalidInputError(f"batch size {lead.batch_size} exceeds data size {n}")
+        per_epoch = math.ceil(n / lead.batch_size)
+        stats = None
+        rows = max(1, min(per_epoch // len(configs), _DRAW_ELEMENTS // lead.batch_size))
+        draws = [
+            _draws(np.random.default_rng(c.seed), n, lead.batch_size, lead.epochs, per_epoch, rows)
+            for c in configs
+        ]
+    # One Gaussian row per run: one E-step serves the whole group.
+    rowwise = lead.batch_size == 1 and init.family_tag == "gaussian"
+    total = lead.epochs * per_epoch
+    live = list(range(len(configs)))  # the positions in ``configs`` of the runs still going
+    regions = [c.truncation for c in configs]
+    acc = None
+    averaged = any(c.polyak for c in configs)
+    out = [None] * len(configs)
+    traces = [[] for _ in configs]
+    polyak_traces = [[] for _ in configs]
+    # Iteration 0 of a mini-batch group draws the first batches, whose
+    # E-steps are the starting statistics.
+    for r in range(1 if full else 0, total + 1):
+        if rowwise:
+            y = data.take(np.concatenate([next(d) for d in draws]), axis=0)
+            try:
+                sbar = _row_estep(y, params)
+            except EstimationError:
+                sbar = [_attempt(_row_estep, y[i], _member(params, i)) for i in range(len(live))]
+        else:
+            # One run's batch at a time.
+            sbar = [
+                _attempt(_estep, data if full else data.take(next(d), axis=0), _member(params, i))
+                for i, d in enumerate(draws)
+            ]
+        if isinstance(sbar, list):
+            failed = {i: part for i, part in enumerate(sbar) if isinstance(part, Exception)}
+            if failed:
+                live, regions, draws, stats, params, acc, sbar = _drop(
+                    r, failed, out, live, regions, draws, stats, params, acc, sbar
+                )
+                if not live:
+                    break
+            sbar = _join(sbar)
+        if r == 0:
+            stats = sbar
+            continue
+        gamma = 1.0 if full else lead.learning_rate.at(r)
+        stats, params, regions, failed = _advance(stats, params, sbar, gamma, regions)
+        if failed:
+            live, regions, draws, stats, params, acc = _drop(
+                r, failed, out, live, regions, draws, stats, params, acc
+            )
+            if not live:
+                break
+        if averaged:
             acc = _average(acc, params, r)
         if r % per_epoch == 0:
-            trace.append(params.mixture())
-            if config.polyak:
-                polyak_trace.append(acc.mixture())
-    # The last iteration ends an epoch, so the trace holds the final parameters.
-    return RunRecord(
-        final_theta=trace[-1],
-        polyak_theta=polyak_trace[-1] if config.polyak else None,
-        trace=trace,
-        polyak_trace=polyak_trace,
-        iterations=total,
-        truncation_events=0 if region is None else region.m - config.truncation.m,
-        wall_time=time.perf_counter() - wall0,
-        cpu_time=time.process_time() - cpu0,
-    )
+            for i, k in enumerate(live):
+                traces[k].append(_member(params, i).mixture())
+                if configs[k].polyak:
+                    polyak_traces[k].append(_member(acc, i).mixture())
+    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+    for i, k in enumerate(live):
+        # The last iteration ends an epoch, so the trace holds the final parameters.
+        out[k] = RunRecord(
+            final_theta=traces[k][-1],
+            polyak_theta=polyak_traces[k][-1] if configs[k].polyak else None,
+            trace=traces[k],
+            polyak_trace=polyak_traces[k],
+            iterations=total,
+            truncation_events=0 if regions[i] is None else regions[i].m - configs[k].truncation.m,
+            wall_time=wall,
+            cpu_time=cpu,
+        )
+    if isinstance(config, RunConfig):
+        if isinstance(out[0], EngineRunError):
+            raise out[0]
+        return out[0]
+    return tuple(out)

@@ -298,43 +298,65 @@ def _evaluate(theta, data, labels, theta_true) -> tuple[float, float, float]:
     return loglik, se, ari
 
 
-def _run_task(args) -> RunRow:
-    """One grid cell from ``(variant, rep, init_theta, config)``;
-    ``config.polyak`` picks the reported parameters, and k-means starts from
-    ``init_theta.means()`` with its epoch budget from ``config``."""
-    variant, rep, init_theta, config = args
+def _run_task(args) -> list:
+    """The rows of one grid task ``(variants, rep, init_theta, configs)``:
+    one ``em`` or ``kmeans`` cell, or the ``mb`` cells of one batch
+    fraction, whose runs go through :func:`run` in lockstep (each row's
+    timings are the group's).  ``config.polyak`` picks the reported
+    parameters, and k-means starts from ``init_theta.means()`` with its
+    epoch budget from ``config``."""
+    variants, rep, init_theta, configs = args
     data, labels, theta_true = _CTX
     n = data.shape[0]
     wall0, cpu0 = time.perf_counter(), time.process_time()
 
-    if variant.name == "kmeans":
+    if variants[0].name == "kmeans":
+        (config,) = configs
         fitted, _ = kmeans(data, init_theta.means(), config.epochs)
         wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
         ari = adjusted_rand_index(fitted, labels) if labels is not None else float("nan")
-        return RunRow(
-            variant.vid, rep, config.seed, "ok",
+        return [RunRow(
+            variants[0].vid, rep, config.seed, "ok",
             float("nan"), float("nan"), float("nan"), ari,
             config.epochs, 0, wall, cpu,
-        )
+        )]
 
     try:
-        record = run(data, config, init_theta)
-        theta = record.polyak_theta if config.polyak else record.final_theta
-        loglik, se, ari = _evaluate(theta, data, labels, theta_true)
-        return RunRow(
-            variant.vid, rep, config.seed, "ok",
-            loglik, loglik / n, se, ari,
-            record.iterations, record.truncation_events,
-            record.wall_time, record.cpu_time,
-        )
+        records = run(data, configs, init_theta)
     except EstimationError as exc:
-        iteration = exc.iteration if isinstance(exc, EngineRunError) else 0
-        return RunRow(
-            variant.vid, rep, config.seed, f"error:{type(exc).__name__}",
-            float("nan"), float("nan"), float("nan"), float("nan"),
-            iteration, 0,
-            time.perf_counter() - wall0, time.process_time() - cpu0,
+        records = (exc,) * len(configs)
+    # A failed row reports the time up to the group's end.
+    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
+    # Only what each row reports outlives the records, so the evaluation
+    # passes do not hold a run's unreported parameters.
+    outcomes = [
+        record if isinstance(record, Exception) else (
+            record.polyak_theta if config.polyak else record.final_theta,
+            record.iterations, record.truncation_events, record.wall_time, record.cpu_time,
         )
+        for config, record in zip(configs, records)
+    ]
+    del records
+    rows = []
+    for variant, config, outcome in zip(variants, configs, outcomes):
+        if not isinstance(outcome, Exception):
+            theta, iterations, events, run_wall, run_cpu = outcome
+            try:
+                loglik, se, ari = _evaluate(theta, data, labels, theta_true)
+                rows.append(RunRow(
+                    variant.vid, rep, config.seed, "ok",
+                    loglik, loglik / n, se, ari, iterations, events, run_wall, run_cpu,
+                ))
+                continue
+            except EstimationError as exc:
+                outcome = exc
+        iteration = outcome.iteration if isinstance(outcome, EngineRunError) else 0
+        rows.append(RunRow(
+            variant.vid, rep, config.seed, f"error:{type(outcome).__name__}",
+            float("nan"), float("nan"), float("nan"), float("nan"),
+            iteration, 0, wall, cpu,
+        ))
+    return rows
 
 
 def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
@@ -345,7 +367,11 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     per-run failures are recorded in the row rather than aborting the grid.
     A variant's name and fraction give its :class:`RunConfig`: a batch size
     when it has a fraction, the region when the name holds ``trunc``, and
-    averaging when it ends in ``-polyak``.
+    averaging when it ends in ``-polyak``.  The ``mb`` variants of one batch
+    fraction share a repetition's init, epochs, batch size and schedule, so
+    each repetition runs them as one task, in lockstep through :func:`run`,
+    and their rows report the group's wall and CPU time.  ``em`` and
+    ``kmeans`` are one task per cell.
 
     The data is the only data-sized array the grid holds: the sample is drawn
     in place, and k-means and the evaluation pass work by row blocks; a
@@ -365,7 +391,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     for rep in range(spec.repetitions):
         rng = np.random.default_rng(derive_seed(spec.master_seed, "init", rep))
         inits.append(random_partition_init(data, spec.g, rng))
-    tasks = []
+    groups = {}  # task key -> [(variant, config)], in order of first cell
     for variant in spec.variants:
         frac = variant.fraction
         for rep in range(spec.repetitions):
@@ -377,11 +403,16 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
                 polyak=variant.name.endswith("-polyak"),
                 seed=derive_seed(spec.master_seed, variant.vid, rep),
             )
-            tasks.append((variant, rep, inits[rep], config))
+            key = (rep, variant.vid if frac is None else frac)
+            groups.setdefault(key, []).append((variant, config))
+    tasks = [
+        (tuple(v for v, _ in cells), rep, inits[rep], tuple(c for _, c in cells))
+        for (rep, _), cells in groups.items()
+    ]
     if spec.workers <= 1:
         _init_worker(data, labels, theta_true)
         try:
-            rows = [_run_task(task) for task in tasks]
+            done = [_run_task(task) for task in tasks]
         finally:
             # Release the data, so the next grid does not sample beside it.
             global _CTX
@@ -410,14 +441,15 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
                     initializer=_map_worker,
                     initargs=(root,),
                 ) as pool:
-                    rows = list(pool.map(_run_task, tasks))
+                    done = list(pool.map(_run_task, tasks))
         finally:
             for var, value in saved.items():
                 if value is None:
                     os.environ.pop(var, None)
                 else:
                     os.environ[var] = value
-    return rows
+    rows = {(row.variant, row.rep): row for task_rows in done for row in task_rows}
+    return [rows[v.vid, rep] for v in spec.variants for rep in range(spec.repetitions)]
 
 
 # ---------------------------------------------------------------------------

@@ -406,7 +406,7 @@ class _Stacked(NamedTuple):
 
 def _log_norms(chols: np.ndarray) -> np.ndarray:
     """d log 2pi + log det Sigma per component, from the Cholesky factors."""
-    return chols.shape[-1] * _LOG_2PI + 2.0 * np.log(chols.diagonal(0, -2, -1)).sum(axis=-1)
+    return chols.shape[-1] * _LOG_2PI + 2.0 * np.add.reduce(np.log(chols.diagonal(0, -2, -1)), axis=-1)
 
 
 def _stack(theta: MixtureParams) -> _Stacked:
@@ -465,21 +465,27 @@ def _block_rows(g: int, d: int) -> int:
 
 
 def _row_log_weighted(y: np.ndarray, p: _Stacked) -> np.ndarray:
-    """(g,) log pi_z + log f(y; omega_z) of one observation ``y`` (d,) at a
-    factored Gaussian stack.
+    """(..., g) log pi_z + log f(y; omega_z) of one observation ``y`` (..., d)
+    per member of a factored Gaussian stack whose arrays lead with the same
+    member axes (none for one mixture).
 
     One observation keeps the triangular solve: batch-size-1 runs, which are
     chaotic under truncation, keep their bits.  Each solve is the call
     scipy.linalg.solve_triangular(chol, diff, lower=True) makes for a
     C-ordered factor (every slice of a stack's ``chols`` is), on a (d, 1)
-    column.  The squared norms are one "dn,dn->n" contraction with a leading
-    component axis, which sums each column as the per-column call does.
+    column, one per component of every member.  The squared norms are one
+    "dn,dn->n" contraction with a leading component axis, which sums each
+    column as the per-column call does, whatever the number of members.
     """
-    # All g centred columns at once, each overwritten by its whitened column.
-    xs = (y - p.means)[:, :, None]
-    for z, (diff, chol) in enumerate(zip(xs, p.chols)):
-        xs[z], _ = _TRTRS(chol.T, diff, lower=0, trans=1)
-    out = np.einsum("zdn,zdn->zn", xs, xs)[:, 0]
+    # All centred columns at once, each overwritten by its whitened column:
+    # a column of this fresh array is a contiguous float64 vector, which the
+    # solve overwrites in place.
+    xs = (y[..., None, :] - p.means)[..., None]
+    d = xs.shape[-2]
+    cols = xs.reshape(-1, d, 1)
+    for diff, chol in zip(cols, p.chols.reshape(-1, d, d)):
+        _TRTRS(chol.T, diff, lower=0, trans=1, overwrite_b=1)
+    out = np.einsum("zdn,zdn->zn", cols, cols).reshape(p.log_norms.shape)
     out += p.log_norms
     out *= -0.5
     out += p.log_weights
@@ -655,20 +661,23 @@ def _estep(y: np.ndarray, p: _Stacked) -> tuple:
 
 
 def _row_estep(y: np.ndarray, p: _Stacked) -> tuple:
-    """:func:`_estep` of one observation ``y`` (d,) at a factored Gaussian
-    stack: tau, tau y and the packed (tau y_i) y_j, the products the blocked
-    pass forms, in its order, without its division by n = 1."""
+    """:func:`_estep` of one observation ``y`` (..., d) per member of a
+    factored Gaussian stack (see :func:`_row_log_weighted`): tau, tau y and
+    the packed (tau y_i) y_j, the products the blocked pass forms, in its
+    order, without its division by n = 1."""
     lw = _row_log_weighted(y, p)
-    # _normalise on one column: its array-shaped checks would cost more than
-    # this scalar form, with the same arithmetic.
-    top = lw.max()
-    if not math.isfinite(top):
+    # _normalise on one column per member: its array-shaped checks would
+    # cost more than this form, with the same arithmetic.
+    top = np.maximum.reduce(lw, axis=-1, keepdims=True)
+    # One member's maximum is finite when the sum is; an overflowing sum of
+    # several raises, and a caller that retries member by member loses nothing.
+    if not math.isfinite(np.add.reduce(top, axis=None)):
         raise DegeneratePointError("observation has zero density under every component")
     tau = np.exp(lw - top)
-    tau /= tau.sum()
-    moment1 = tau[:, None] * y
-    rows, cols = _triu(y.shape[0])
-    return tau, moment1, moment1[:, rows] * y[cols]
+    tau /= np.add.reduce(tau, axis=-1, keepdims=True)
+    moment1 = tau[..., None] * y[..., None, :]
+    rows, cols = _triu(y.shape[-1])
+    return tau, moment1, moment1[..., rows] * y.take(cols, axis=-1)[..., None, :]
 
 
 def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
@@ -686,25 +695,25 @@ def mean_sbar(y: np.ndarray, theta: MixtureParams) -> SuffStats:
 # ---------------------------------------------------------------------------
 
 def _cholesky_or_raise(covs: np.ndarray) -> np.ndarray:
-    """Stacked lower Cholesky factors of the M-step covariances.
+    """Stacked lower Cholesky factors of the M-step covariances (g, d, d),
+    or of several mixtures' covariances behind leading member axes.
 
     On failure, raises :class:`DegenerateCovarianceError` naming the first
-    component that is non-finite or not positive definite.
+    component that is non-finite or not positive definite, counted across
+    members.
     """
-    # A finite sum means finite entries; an overflowing one takes the slow path.
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = covs.sum()
-    if math.isfinite(total):
+    if np.logical_and.reduce(np.isfinite(covs), axis=None):
         try:
             return np.linalg.cholesky(covs)
         except np.linalg.LinAlgError:
             pass
+    d = covs.shape[-1]
     chols = np.empty_like(covs)
-    for z, cov in enumerate(covs):
+    for z, (cov, out) in enumerate(zip(covs.reshape(-1, d, d), chols.reshape(-1, d, d))):
         if not np.all(np.isfinite(cov)):
             raise DegenerateCovarianceError(f"component {z} covariance is not finite")
         try:
-            chols[z] = np.linalg.cholesky(cov)
+            out[:] = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError as exc:
             raise DegenerateCovarianceError(
                 f"component {z} covariance has a nonpositive eigenvalue"
@@ -714,28 +723,34 @@ def _cholesky_or_raise(covs: np.ndarray) -> np.ndarray:
 
 def _mstep(stats: tuple, family: str) -> _Stacked:
     """M-step kernel: the factored stack maximizing the objective at
-    ``(mass, moment1, moment2)``; raises as :func:`theta_bar` does."""
+    ``(mass, moment1, moment2)``; raises as :func:`theta_bar` does.
+
+    Blocks with leading member axes give a stack with the same axes, each
+    member the M-step image of its own blocks, bit for bit; a message then
+    counts components across members."""
     mass, moment1, moment2 = stats
-    total = mass.sum()
-    # A finite total and a smallest mass above the floor clear both checks.
-    if not (math.isfinite(total) and mass.min() > S1_FLOOR):
+    total = np.add.reduce(mass, axis=-1, keepdims=True)
+    # Finite totals and a smallest mass above the floor clear both checks.
+    if not (math.isfinite(np.add.reduce(total, axis=None)) and np.minimum.reduce(mass, axis=None) > S1_FLOOR):
         if not np.isfinite(mass).all():
             raise InvalidInputError("non-finite statistic mass")
         if (mass <= S1_FLOOR).any():
             z = int(np.argmin(mass))
-            raise EmptyComponentError(f"component {z} mass {mass[z]:.3e} at or below floor {S1_FLOOR}")
+            raise EmptyComponentError(
+                f"component {z} mass {mass.flat[z]:.3e} at or below floor {S1_FLOOR}"
+            )
     weights = mass / total
 
     if family == "gaussian":
-        means = moment1 / mass[:, None]
+        means = moment1 / mass[..., None]
         covs = (
-            unpack_symmetric(moment2, moment1.shape[1]) / mass[:, None, None]
-            - means[:, :, None] * means[:, None, :]
+            unpack_symmetric(moment2, moment1.shape[-1]) / mass[..., None, None]
+            - means[..., :, None] * means[..., None, :]
         )
         chols = _cholesky_or_raise(covs)
         return _Stacked(family, weights, means, covs, None, np.log(weights), chols, _log_norms(chols))
 
-    second = moment1[:, 0]
+    second = moment1[..., 0]
     if family == "exponential":
         # Weighted MLE of the rate: maximizes s1*log(rate) - rate*s2.
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from mbem.engine import EmState, _inside, _reset, minibatch_step, polyak_update
+from mbem.engine import EmState, _inside, _member, _reset, minibatch_step, polyak_update
 from mbem.families import (
     Gaussian,
     MixtureParams,
@@ -58,8 +58,8 @@ def random_instance(rng, max_d=2, max_g=3, n=60):
 
 def region_contains(theta, region):
     """Whether ``theta`` lies in ``region`` at its current index: the
-    engine's own test, on the parameters' stack."""
-    return _inside(_stack(theta), region)
+    engine's own test, on the parameters' stack as a group of one."""
+    return bool(_inside(_member(_stack(theta), None), [region])[0])
 
 
 def reset_stat(state, batch):

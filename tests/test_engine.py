@@ -782,3 +782,146 @@ def test_truncation_events_count_from_a_nonzero_start():
     _, _, state = replay(data, cfg, init)
     assert state.region.m > 3
     assert rec.truncation_events == state.region.m - 3
+
+
+# ---------------------------------------------------------------------------
+# runs in lockstep
+# ---------------------------------------------------------------------------
+
+def _outcome(result):
+    """Every field of a run's result but its timings, or its error's type,
+    iteration, message and cause type."""
+    if isinstance(result, Exception):
+        return type(result), result.iteration, str(result), type(result.__cause__)
+
+    def theta(t):
+        if t is None:
+            return None
+        if t.family_tag == "gaussian":
+            return t.weights.tobytes(), t.means().tobytes(), t.covariances().tobytes()
+        return t.weights.tobytes(), t.rates().tobytes()
+
+    return (
+        theta(result.final_theta),
+        theta(result.polyak_theta),
+        [theta(t) for t in result.trace],
+        [theta(t) for t in result.polyak_trace],
+        result.iterations,
+        result.truncation_events,
+    )
+
+
+def _alone(data, config, init):
+    try:
+        return run(data, config, init)
+    except EngineRunError as exc:
+        return exc
+
+
+def _assert_lockstep_equals_alone(data, configs, init):
+    group = run(data, configs, init)
+    assert isinstance(group, tuple) and len(group) == len(configs)
+    for config, result in zip(configs, group):
+        assert _outcome(result) == _outcome(_alone(data, config, init)), config
+    records = [r for r in group if not isinstance(r, Exception)]
+    # every record reports the group's wall and CPU time
+    assert len({(r.wall_time, r.cpu_time) for r in records}) <= 1
+    return group
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 10, 500])
+@pytest.mark.parametrize("d", [1, 4, 50])
+def test_lockstep_run_equals_each_run_alone(d, batch_size):
+    # mb, mb-polyak, mb-trunc and mb-trunc-polyak of one batch size, each
+    # with its own seed, as the grid groups them; at batch size 500 an
+    # epoch is one batch, drawn by one call per step
+    rng = np.random.default_rng([d, batch_size])
+    data, _ = sample(make_gaussian_mixture(rng, d, 3), 500, rng)
+    init = random_partition_init(data, 3, rng)
+    configs = tuple(
+        RunConfig(
+            epochs=1 if d == 50 else 2,
+            batch_size=batch_size,
+            truncation=TruncationRegion() if truncated else None,
+            polyak=polyak,
+            seed=seed,
+        )
+        for seed, (truncated, polyak) in enumerate(
+            [(False, False), (False, True), (True, False), (True, True)], start=40
+        )
+    )
+    _assert_lockstep_equals_alone(data, configs, init)
+
+
+def test_lockstep_members_reset_at_different_steps():
+    # truncated batch-size-1 runs reset often; with their own seeds and
+    # regions they reset at different steps and different counts
+    data, config, init = _iris_case(True, True)
+    configs = (
+        config,
+        replace(config, seed=6, polyak=False),
+        replace(config, seed=7, truncation=TruncationRegion(500.0, 1000.0, 1000.0, m=3)),
+    )
+    group = _assert_lockstep_equals_alone(data, configs, init)
+    events = [r.truncation_events for r in group]
+    assert min(events) > 0 and len(set(events)) == len(events)
+    # the steps at which each run resets, from the public steps on its draws
+    resets = []
+    for cfg in configs:
+        rng = np.random.default_rng(cfg.seed)
+        n = len(data)
+        state = EmState(mean_sbar(data[rng.integers(0, n, size=1)], init), init, cfg.truncation)
+        at = []
+        for r in range(1, cfg.epochs * n + 1):
+            m = state.region.m
+            state = minibatch_step(state, data[rng.integers(0, n, size=1)], cfg.learning_rate.at(r))
+            if state.region.m > m:
+                at.append(r)
+        assert len(at) == state.region.m - cfg.truncation.m
+        resets.append(tuple(at))
+    assert len(set(resets)) == len(resets)
+
+
+def test_lockstep_failing_member_leaves_the_group():
+    # untruncated batch-size-1 EM fails at iteration 1 on the iris template;
+    # its truncated twins run on, and the failure is the one it raises alone
+    data, config, init = _iris_case(True, False)
+    configs = (replace(config, truncation=None), config, replace(config, seed=8, polyak=True))
+    group = _assert_lockstep_equals_alone(data, configs, init)
+    assert isinstance(group[0], EngineRunError) and group[0].iteration == 1
+    assert all(r.iterations == config.epochs * len(data) for r in group[1:])
+    with pytest.raises(EngineRunError, match=str(group[0]).replace("(", r"\(")) as err:
+        run(data, configs[0], init)
+    assert err.value.iteration == 1
+
+
+@pytest.mark.parametrize("truncated", [False, True], ids=["minibatch", "truncated-minibatch"])
+def test_lockstep_rate_family_equals_each_run_alone(truncated):
+    data, config, init = _poisson_case(truncated, False)
+    configs = (config, replace(config, seed=9, polyak=True), replace(config, seed=10))
+    _assert_lockstep_equals_alone(data, configs, init)
+
+
+def test_lockstep_batch_em_group():
+    data, _, init = _iris_case(False, False)
+    _assert_lockstep_equals_alone(data, (RunConfig(epochs=3), RunConfig(epochs=3, polyak=True)), init)
+
+
+def test_run_returns_a_record_for_a_config_and_a_tuple_for_a_tuple():
+    data, config, init = _iris_case(False, True)
+    record = run(data, config, init)
+    (grouped,) = run(data, (config,), init)
+    assert _outcome(grouped) == _outcome(record)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"epochs": 3}, {"batch_size": 21}, {"learning_rate": LearningRate(0.5, 0.6)}],
+    ids=["epochs", "batch_size", "learning_rate"],
+)
+def test_lockstep_configs_must_share_epochs_batch_size_and_schedule(change):
+    data, config, init = _iris_case(False, False)
+    with pytest.raises(InvalidInputError, match="lockstep"):
+        run(data, (config, replace(config, seed=9, **change)), init)
+    with pytest.raises(InvalidInputError):
+        run(data, (), init)

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +167,48 @@ def test_single_em_row_matches_manual_run(variant):
     assert row.ari == adjusted_rand_index(map_labels(data, theta), labels)
 
 
+def test_grid_runs_each_fractions_mb_cells_in_lockstep(monkeypatch):
+    # one run call per (repetition, batch fraction) holds every mb variant of
+    # that fraction; em is one cell per call; rows stay variant-major, equal
+    # the cells run one by one, and the rows of a group share its timings
+    import mbem.experiment
+
+    variants = (
+        VariantSpec("em"),
+        VariantSpec("mb", 0.25), VariantSpec("mb", 0.5),
+        VariantSpec("mb-trunc-polyak", 0.25), VariantSpec("mb-trunc-polyak", 0.5),
+        VariantSpec("kmeans"),
+    )
+    spec = _small_spec(reps=2, variants=variants)
+    calls = []
+
+    def counted(data, config, init):
+        calls.append(config)
+        return run(data, config, init)
+
+    monkeypatch.setattr(mbem.experiment, "run", counted)
+    rows = run_experiment(spec)
+    assert [len(c) for c in calls] == [1, 1, 2, 2, 2, 2]
+    assert all(isinstance(c, tuple) for c in calls)
+    assert [(r.variant, r.rep) for r in rows] == [
+        (v.vid, rep) for v in variants for rep in range(2)
+    ]
+    by_cell = {(r.variant, r.rep): r for r in rows}
+    for rep in range(2):
+        for frac in ("0.25", "0.5"):
+            a, b = by_cell[f"mb-{frac}", rep], by_cell[f"mb-{frac}-trunc-polyak", rep]
+            assert (a.wall_time_s, a.cpu_time_s) == (b.wall_time_s, b.cpu_time_s)
+    monkeypatch.undo()
+    for variant in variants:
+        alone = run_experiment(replace(spec, variants=(variant,)))
+        for row in alone:
+            assert _strip_row(row) == _strip_row(by_cell[row.variant, row.rep])
+
+
+def _strip_row(row):
+    return [repr(getattr(row, c)) for c in RESULTS_COLUMNS if c not in TIMING_COLUMNS]
+
+
 def test_evaluate_zero_density_row():
     # a negative observation has zero density under every exponential
     # component: the log-likelihood is -inf, and only a labelled source asks
@@ -274,7 +317,7 @@ def test_failed_run_recorded_not_fatal():
     config = RunConfig(
         epochs=3, batch_size=round(0.25 * len(data)), learning_rate=LearningRate(0.9, 0.6), seed=7
     )
-    row = _run_task((VariantSpec("mb", 0.25), 0, bad_init, config))
+    (row,) = _run_task(((VariantSpec("mb", 0.25),), 0, bad_init, (config,)))
     assert row.status.startswith("error:")
     assert math.isnan(row.loglik)
 

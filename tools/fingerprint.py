@@ -13,6 +13,12 @@ Prints one JSON object that maps each case to sha256 digests of its arrays:
   over 54 runs: d = 1, 4 and 50; batch EM and batch sizes 1, 2, 10 and
   500; truncated or not (mini-batch only) and Polyak-averaged or not.  A
   run that fails records its error type and message instead;
+* ``grid/<variant>/<rep>``: every non-timing ``results.csv`` column of
+  one row of ``mbem simulate --variant all`` on the iris template
+  (n = 1000, 2 epochs, 2 repetitions) at batch sizes 1, 2 and 10, where
+  the grid runs the ``mb`` cells of each batch size in lockstep.  The
+  untruncated batch-size-1 cells fail at iteration 1 while their truncated
+  twins run on;
 * ``dataset_loglik/...``, ``map_labels/...``, ``log_densities/...`` and
   ``responsibilities_batch/...``: the evaluation pass of
   :mod:`mbem.metrics` and :mod:`mbem.families` at the generating mixture,
@@ -28,6 +34,15 @@ two commits; equal outputs mean no result bit moved::
     python tools/fingerprint.py > after.json    # at the change
     diff before.json after.json
 
+``--src DIR`` runs this tool on another commit's sources instead, say a
+``git archive`` of the parent's ``src``.  The ``grid/...`` cases reach the
+package through the command line alone, so this tool runs on sources from
+before they existed::
+
+    mkdir base && git archive HEAD^ src | tar -x -C base
+    python tools/fingerprint.py --src base/src > before.json
+    python tools/fingerprint.py > after.json
+
 Across a change of what a case digests, compare the common part instead.
 At commits where :func:`mbem.data.kmeans` still took partition labels,
 ``init/...`` held a pair: the init's digest and the digest of its labels,
@@ -41,26 +56,36 @@ a={k:(v[0] if k.startswith('init/') else v) for k,v in a.items()}; sys.exit(a!=b
         before.json after.json
 
 BLAS is pinned to one thread, since a grid's bits depend on the thread
-count at some shapes.  It takes about a minute on one core.
+count at some shapes.  It takes about 15 seconds on one core.
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import sys
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+_parser = argparse.ArgumentParser(description="Bit fingerprint of mbem's results.")
+_parser.add_argument("--src", type=Path, default=ROOT / "src",
+                     help="the sources to fingerprint (default: this checkout's src)")
+sys.path.insert(0, str(_parser.parse_args().src.resolve()))
 
+import csv  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
+import tempfile  # noqa: E402
+from contextlib import redirect_stdout  # noqa: E402
 
 import numpy as np  # noqa: E402
 
 from mbem import Gaussian, MixtureParams, RunConfig, TruncationRegion  # noqa: E402
 from mbem import run, sample  # noqa: E402
+from mbem.cli import main as mbem_main  # noqa: E402
 from mbem.data import kmeans, random_partition_init  # noqa: E402
 from mbem.errors import EngineRunError  # noqa: E402
 from mbem.families import _block_rows, log_densities, responsibilities_batch  # noqa: E402
@@ -69,6 +94,12 @@ from mbem.metrics import dataset_loglik, map_labels  # noqa: E402
 #: (d, g, n) of the engine runs; n leaves every batch size at most n.
 RUN_SHAPES = ((1, 3, 2000), (4, 3, 2000), (50, 3, 1000))
 BATCH_SIZES = (1, 2, 10, 500)
+
+#: Rows of the grid cases, and their batch sizes (fraction * n).
+GRID_N = 1000
+GRID_BATCHES = (1, 2, 10)
+#: Columns that differ between reruns of one grid (``TIMING_COLUMNS``).
+GRID_TIMING = ("wall_time_s", "cpu_time_s")
 
 
 def digest(*arrays) -> str:
@@ -173,8 +204,27 @@ def eval_cases() -> dict:
     return out
 
 
+def grid_cases() -> dict:
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["simulate", "--template", str(ROOT / "tests" / "data" / "iris.csv"),
+                "--n", str(GRID_N), "--epochs", "2", "--reps", "2", "--seed", "1",
+                "--variant", "all", "--out-dir", tmp]
+        for batch in GRID_BATCHES:
+            argv += ["--batch-frac", repr(batch / GRID_N)]
+        with redirect_stdout(io.StringIO()):
+            mbem_main(argv)
+        with open(Path(tmp) / "results.csv", newline="") as f:
+            for row in csv.DictReader(f):
+                kept = [f"{k}={v}" for k, v in row.items() if k not in GRID_TIMING]
+                out[f"grid/{row['variant']}/{row['rep']}"] = hashlib.sha256(
+                    ";".join(kept).encode()).hexdigest()
+    return out
+
+
 def main() -> None:
-    print(json.dumps({**setup_cases(), **run_cases(), **eval_cases()}, indent=1, sort_keys=True))
+    cases = {**setup_cases(), **run_cases(), **grid_cases(), **eval_cases()}
+    print(json.dumps(cases, indent=1, sort_keys=True))
 
 
 if __name__ == "__main__":
