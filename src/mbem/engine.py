@@ -27,18 +27,18 @@ the member's own slice): it
 starts from the batch E-step the rejected step computed, projects its
 M-step image into the base region (``_project``) and rebuilds the
 statistic from it, also on arrays.  Each member draws its batch indices
-from its own generator, a slice of an epoch per call.  ``MixtureParams``
-objects are built only at epoch boundaries, for the trace and the returned
-results.  The public step functions wrap the same array maps, as a group
-of one, and read the region from the state they are given:
-:func:`minibatch_step` on a state with a region performs exactly that reset
-and returns the state with the index one higher.
+from its own generator, in chunks of at most ``_DRAW_ELEMENTS``, whatever
+its group.  ``MixtureParams`` objects are built only at epoch boundaries,
+for the trace and the returned results.  The public step functions wrap
+the same array maps, as a group of one, and read the region from the
+state they are given: :func:`minibatch_step` on a state with a region
+performs exactly that reset and returns the state with the index one
+higher.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -434,8 +434,7 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced: parameters, per-epoch traces, counts,
-    timings.  The runs of one :func:`run` call share its wall and CPU time."""
+    """Everything one run produced: parameters, per-epoch traces, counts."""
 
     final_theta: MixtureParams
     polyak_theta: MixtureParams | None
@@ -443,8 +442,6 @@ class RunRecord:
     polyak_trace: list
     iterations: int
     truncation_events: int
-    wall_time: float
-    cpu_time: float
 
 
 def _lockstep(configs: tuple) -> RunConfig:
@@ -461,23 +458,22 @@ def _lockstep(configs: tuple) -> RunConfig:
     return lead
 
 
-#: Most batch indices a run draws per generator call (64 KiB of int64).
-#: Below one run's epoch of indices, this pays for the parameters a group's
-#: other runs hold, and it still draws many batch-size-1 steps per call.
+#: Most batch indices a run draws per generator call (64 KiB of int64),
+#: enough for many batch-size-1 steps per call.
 _DRAW_ELEMENTS = 2**13
 
 
-def _draws(rng: np.random.Generator, n: int, batch_size: int, epochs: int, per_epoch: int, rows: int):
-    """One run's batch index rows: the first batch's, then each iteration's.
+def _draws(rng: np.random.Generator, n: int, batch_size: int, count: int):
+    """``count`` batch index rows, ``_DRAW_ELEMENTS // batch_size`` of them
+    (at least one) per call.
 
-    An epoch is drawn ``rows`` iterations per call, the stream of one call
-    per batch, so a run holds at most ``rows`` iterations' indices between
-    its steps.
+    PCG64 carries its spare 32-bit half across calls, so this is the stream
+    of one call per batch, and a run holds at most ``_DRAW_ELEMENTS``
+    indices plus one batch between its steps.
     """
-    yield rng.integers(0, n, size=batch_size)
-    for _ in range(epochs):
-        for start in range(0, per_epoch, rows):
-            yield from rng.integers(0, n, size=(min(rows, per_epoch - start), batch_size))
+    rows = max(1, _DRAW_ELEMENTS // batch_size)
+    for start in range(0, count, rows):
+        yield from rng.integers(0, n, size=(min(rows, count - start), batch_size))
 
 
 def _drop(r: int, failed: dict, out: list, live: list, *members) -> list:
@@ -508,21 +504,17 @@ def run(data: np.ndarray, config, init: MixtureParams):
     M-step image is ``init``.  The trace is recorded at epoch boundaries.
     ``truncation_events`` is the number of resets, the growth of the region
     index m over the run.  Identical seed and config give a bit-identical
-    record apart from the timing fields.
+    record.
 
     ``config`` may also be a tuple of configs that share ``epochs``,
     ``batch_size`` and ``learning_rate`` (else :class:`InvalidInputError`);
     they differ only in seed, region and averaging.  Their runs advance in
     lockstep on arrays with a leading run axis, so each NumPy call serves
     all of them, and the result is a tuple with one entry per config.  Each
-    entry is the record the config gives alone, bit for bit apart from the
-    timings: every record of the tuple reports the wall and CPU time of the
-    whole call.  A run that fails leaves the group, and its entry is the
-    :class:`EngineRunError` that it raises alone; the others run on.  A
-    single ``RunConfig`` is a group of one: its record is returned, and its
-    failure raised.  Each run draws about 1/R of an epoch's batch indices
-    per generator call for R runs, and at most ``_DRAW_ELEMENTS``, so a
-    group holds no more indices than one run's epoch.
+    entry is the record the config gives alone, bit for bit.  A run that
+    fails leaves the group, and its entry is the :class:`EngineRunError`
+    that it raises alone; the others run on.  A single ``RunConfig`` is a
+    group of one: its record is returned, and its failure raised.
 
     The loop works on stacked arrays (see the module docstring).  ``data``
     is checked once: a non-finite row or a wrong width raises
@@ -532,7 +524,6 @@ def run(data: np.ndarray, config, init: MixtureParams):
     for bit; that replay gives the parameters of every step, which the
     record does not keep.
     """
-    wall0, cpu0 = time.perf_counter(), time.process_time()
     configs = (config,) if isinstance(config, RunConfig) else tuple(config)
     lead = _lockstep(configs)
     try:
@@ -555,9 +546,8 @@ def run(data: np.ndarray, config, init: MixtureParams):
             raise InvalidInputError(f"batch size {lead.batch_size} exceeds data size {n}")
         per_epoch = math.ceil(n / lead.batch_size)
         stats = None
-        rows = max(1, min(per_epoch // len(configs), _DRAW_ELEMENTS // lead.batch_size))
         draws = [
-            _draws(np.random.default_rng(c.seed), n, lead.batch_size, lead.epochs, per_epoch, rows)
+            _draws(np.random.default_rng(c.seed), n, lead.batch_size, lead.epochs * per_epoch + 1)
             for c in configs
         ]
     # One Gaussian row per run: one E-step serves the whole group.
@@ -612,7 +602,6 @@ def run(data: np.ndarray, config, init: MixtureParams):
                 traces[k].append(_member(params, i).mixture())
                 if configs[k].polyak:
                     polyak_traces[k].append(_member(acc, i).mixture())
-    wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
     for i, k in enumerate(live):
         # The last iteration ends an epoch, so the trace holds the final parameters.
         out[k] = RunRecord(
@@ -622,8 +611,6 @@ def run(data: np.ndarray, config, init: MixtureParams):
             polyak_trace=polyak_traces[k],
             iterations=total,
             truncation_events=0 if regions[i] is None else regions[i].m - configs[k].truncation.m,
-            wall_time=wall,
-            cpu_time=cpu,
         )
     if isinstance(config, RunConfig):
         if isinstance(out[0], EngineRunError):

@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .data import (
@@ -301,8 +302,9 @@ def _evaluate(theta, data, labels, theta_true) -> tuple[float, float, float]:
 def _run_task(args) -> list:
     """The rows of one grid task ``(variants, rep, init_theta, configs)``:
     one ``em`` or ``kmeans`` cell, or the ``mb`` cells of one batch
-    fraction, whose runs go through :func:`run` in lockstep (each row's
-    timings are the group's).  ``config.polyak`` picks the reported
+    fraction, whose runs go through :func:`run` in lockstep.  Every row,
+    ok or failed, reports the task's wall and CPU time up to the return of
+    :func:`run` or :func:`kmeans`.  ``config.polyak`` picks the reported
     parameters, and k-means starts from ``init_theta.means()`` with its
     epoch budget from ``config``."""
     variants, rep, init_theta, configs = args
@@ -325,14 +327,13 @@ def _run_task(args) -> list:
         records = run(data, configs, init_theta)
     except EstimationError as exc:
         records = (exc,) * len(configs)
-    # A failed row reports the time up to the group's end.
     wall, cpu = time.perf_counter() - wall0, time.process_time() - cpu0
     # Only what each row reports outlives the records, so the evaluation
     # passes do not hold a run's unreported parameters.
     outcomes = [
         record if isinstance(record, Exception) else (
             record.polyak_theta if config.polyak else record.final_theta,
-            record.iterations, record.truncation_events, record.wall_time, record.cpu_time,
+            record.iterations, record.truncation_events,
         )
         for config, record in zip(configs, records)
     ]
@@ -340,12 +341,12 @@ def _run_task(args) -> list:
     rows = []
     for variant, config, outcome in zip(variants, configs, outcomes):
         if not isinstance(outcome, Exception):
-            theta, iterations, events, run_wall, run_cpu = outcome
+            theta, iterations, events = outcome
             try:
                 loglik, se, ari = _evaluate(theta, data, labels, theta_true)
                 rows.append(RunRow(
                     variant.vid, rep, config.seed, "ok",
-                    loglik, loglik / n, se, ari, iterations, events, run_wall, run_cpu,
+                    loglik, loglik / n, se, ari, iterations, events, wall, cpu,
                 ))
                 continue
             except EstimationError as exc:
@@ -370,7 +371,7 @@ def run_experiment(spec: ExperimentSpec) -> list[RunRow]:
     averaging when it ends in ``-polyak``.  The ``mb`` variants of one batch
     fraction share a repetition's init, epochs, batch size and schedule, so
     each repetition runs them as one task, in lockstep through :func:`run`,
-    and their rows report the group's wall and CPU time.  ``em`` and
+    and their rows report the task's wall and CPU time.  ``em`` and
     ``kmeans`` are one task per cell.
 
     The data is the only data-sized array the grid holds: the sample is drawn
@@ -592,9 +593,14 @@ def write_boxplot_csv(rows: list, metric: str, path) -> None:
 
 
 def write_meta(spec: ExperimentSpec, path) -> None:
+    # Result bits depend on NumPy, on SciPy's LAPACK and on the BLAS
+    # thread count, so the versions and this process's thread variables
+    # (null when unset) are recorded.
     meta = {
         "package_version": __version__,
         "numpy_version": np.__version__,
+        "scipy_version": scipy.__version__,
+        "blas_thread_vars": {var: os.environ.get(var) for var in _BLAS_THREAD_VARS},
         "schema_version": RESULTS_SCHEMA_VERSION,
         "seed_derivation": SEED_DERIVATION,
         "timing_columns_excluded_from_determinism": list(TIMING_COLUMNS),

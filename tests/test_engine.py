@@ -1,10 +1,11 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mbem.engine
 from mbem.data import random_partition_init, read_labeled_csv, template_from_labeled_data
 from mbem.engine import (
     DEFAULT_LEARNING_RATE,
@@ -789,26 +790,20 @@ def test_truncation_events_count_from_a_nonzero_start():
 # ---------------------------------------------------------------------------
 
 def _outcome(result):
-    """Every field of a run's result but its timings, or its error's type,
-    iteration, message and cause type."""
+    """Every field of a run's result, or its error's type, iteration,
+    message and cause type."""
     if isinstance(result, Exception):
         return type(result), result.iteration, str(result), type(result.__cause__)
 
-    def theta(t):
-        if t is None:
-            return None
-        if t.family_tag == "gaussian":
-            return t.weights.tobytes(), t.means().tobytes(), t.covariances().tobytes()
-        return t.weights.tobytes(), t.rates().tobytes()
+    def value(v):
+        if isinstance(v, list):
+            return [value(t) for t in v]
+        if isinstance(v, MixtureParams):
+            blocks = (v.means(), v.covariances()) if v.family_tag == "gaussian" else (v.rates(),)
+            return tuple(a.tobytes() for a in (v.weights, *blocks))
+        return v
 
-    return (
-        theta(result.final_theta),
-        theta(result.polyak_theta),
-        [theta(t) for t in result.trace],
-        [theta(t) for t in result.polyak_trace],
-        result.iterations,
-        result.truncation_events,
-    )
+    return {f.name: value(getattr(result, f.name)) for f in fields(result)}
 
 
 def _alone(data, config, init):
@@ -823,9 +818,6 @@ def _assert_lockstep_equals_alone(data, configs, init):
     assert isinstance(group, tuple) and len(group) == len(configs)
     for config, result in zip(configs, group):
         assert _outcome(result) == _outcome(_alone(data, config, init)), config
-    records = [r for r in group if not isinstance(r, Exception)]
-    # every record reports the group's wall and CPU time
-    assert len({(r.wall_time, r.cpu_time) for r in records}) <= 1
     return group
 
 
@@ -851,6 +843,28 @@ def test_lockstep_run_equals_each_run_alone(d, batch_size):
         )
     )
     _assert_lockstep_equals_alone(data, configs, init)
+
+
+@pytest.mark.parametrize("batch_size", [1, 3, 10])
+def test_draw_chunk_size_moves_no_bit(monkeypatch, batch_size):
+    # one index per call, 7 per call (chunks that straddle the epoch
+    # boundary) and a whole run per call give the default's records, in a
+    # group and alone
+    rng = np.random.default_rng([997, batch_size])
+    data, _ = sample(make_gaussian_mixture(rng, 4, 3), 997, rng)
+    init = random_partition_init(data, 3, rng)
+    base = RunConfig(epochs=2, batch_size=batch_size, truncation=TruncationRegion(), seed=30)
+    configs = (base, replace(base, seed=31, polyak=True), replace(base, seed=32, truncation=None))
+
+    def outcomes():
+        group = run(data, configs, init)
+        return [_outcome(r) for r in group] + [_outcome(_alone(data, c, init)) for c in configs]
+
+    expected = outcomes()
+    assert all(isinstance(o, dict) for o in expected[:2])
+    for elements in (1, 7, 2**20):
+        monkeypatch.setattr(mbem.engine, "_DRAW_ELEMENTS", elements)
+        assert outcomes() == expected, elements
 
 
 def test_lockstep_members_reset_at_different_steps():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from mbem.cli import main as cli_main
 from mbem.data import kmeans, random_partition_init
@@ -33,6 +34,7 @@ from mbem.experiment import (
     run_experiment,
     summarize,
     write_boxplot_csv,
+    write_meta,
     write_results_csv,
     write_summary,
 )
@@ -165,6 +167,18 @@ def test_single_em_row_matches_manual_run(variant):
     assert row.loglik == dataset_loglik(data, theta)
     assert row.loglik_per_obs == row.loglik / len(data)
     assert row.ari == adjusted_rand_index(map_labels(data, theta), labels)
+
+
+def test_every_row_of_a_task_reports_the_tasks_time():
+    # at batch size 1 on the iris template the untruncated cell fails at
+    # iteration 1 while its truncated twin runs on; both rows of their task
+    # report the one measurement of the task
+    n = 600
+    spec = _small_spec(n=n, reps=1, variants=(VariantSpec("mb", 1 / n), VariantSpec("mb-trunc", 1 / n)))
+    failed, ok = run_experiment(spec)
+    assert failed.status == "error:EngineRunError" and failed.iterations == 1
+    assert ok.status == "ok"
+    assert (failed.wall_time_s, failed.cpu_time_s) == (ok.wall_time_s, ok.cpu_time_s)
 
 
 def test_grid_runs_each_fractions_mb_cells_in_lockstep(monkeypatch):
@@ -519,6 +533,20 @@ def test_summary_and_boxplot_files(tmp_path):
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
+
+def test_meta_records_scipy_and_the_blas_thread_variables(tmp_path, monkeypatch):
+    # SciPy's LAPACK and the BLAS thread count decide result bits too
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    write_meta(_small_spec(), tmp_path / "meta.json")
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    assert meta["numpy_version"] == np.__version__
+    assert meta["scipy_version"] == scipy.__version__
+    assert meta["blas_thread_vars"] == {
+        "OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None,
+    }
+
 
 def test_cli_simulate_end_to_end(tmp_path):
     out = tmp_path / "out"
