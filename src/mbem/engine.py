@@ -19,21 +19,21 @@ differ only in seed, region and averaging.  It works on stacked arrays with
 a leading run (member) axis: the statistic blocks ``(mass, moment1,
 moment2)`` and the parameter stack of :mod:`mbem.families` (weights, means,
 covariances, their Cholesky factors and log normalisers, or rates).  Each
-M-step factorises once and the next E-step reuses that factor.  A
-Gaussian group at batch size 1 takes one E-step for every member's row;
-any other batch is one member's at a time.  The step after the E-step,
-``_advance``, is the one place a truncation reset happens (``_reset``, on
-the member's own slice): it
-starts from the batch E-step the rejected step computed, projects its
-M-step image into the base region (``_project``) and rebuilds the
-statistic from it, also on arrays.  Each member draws its batch indices
-from its own generator, in chunks of at most ``_DRAW_ELEMENTS``, whatever
-its group.  ``MixtureParams`` objects are built only at epoch boundaries,
-for the trace and the returned results.  The public step functions wrap
-the same array maps, as a group of one, and read the region from the
-state they are given: :func:`minibatch_step` on a state with a region
-performs exactly that reset and returns the state with the index one
-higher.
+M-step factorises once and the next E-step reuses that factor.  A Gaussian
+group at batch size 1 takes one E-step for every member's row; any other
+batch is one member's at a time.  The step after the E-step, ``_advance``,
+decides each member's outcome (accepted, reset with a reason, or failed)
+and is the one place a truncation reset happens (``_reset``, on the
+member's own slice): it starts from the batch E-step the rejected step
+computed, projects its M-step image into the base region (``_project``) and
+rebuilds the statistic from it, also on arrays.  Each member draws its
+batch indices from its own generator, in chunks of at most
+``_DRAW_ELEMENTS``, whatever its group.  ``MixtureParams`` objects are
+built only at epoch boundaries, for the trace and the returned results.
+The public step functions wrap the same array maps, as a group of one, and
+read the region from the state they are given: :func:`minibatch_step` on a
+state with a region performs exactly that reset and returns the state with
+the index one higher.
 """
 
 from __future__ import annotations
@@ -126,32 +126,42 @@ class TruncationRegion:
 
 
 def _inside(p: _Stacked, regions: list) -> list:
-    """Per member of a parameter stack with a leading member axis, whether
-    it lies in its region (``regions``, one per member) at that region's
-    current index; one batched ``eigvalsh``.
+    """Per member of a parameter stack with a leading member axis, the first
+    bound of its region (``regions``, one per member) that it breaks at that
+    region's current index, or None when it lies inside or has no region.
 
-    Each bound is tested on one extreme value per member.  As in an
-    elementwise test, a NaN weight or mean coordinate is never out of bounds
-    (``fmin``/``fmax`` skip it) and a NaN eigenvalue or rate is never in
-    bounds."""
-    weights = np.fmin.reduce(p.weights, axis=-1).tolist()
+    The bounds, in test order: ``"weight"`` (the floor), ``"mean"``,
+    ``"low"`` and ``"high"`` (the smallest and largest eigenvalue, or rate),
+    each on one extreme value per member, with one batched ``eigvalsh`` over
+    the members that have a region.  As in an elementwise test, a NaN weight
+    or mean coordinate is never out of bounds (``fmin``/``fmax`` skip it)
+    and a NaN eigenvalue or rate is never in bounds."""
+    out = [None] * len(regions)
+    tested = [i for i, region in enumerate(regions) if region is not None]
+    if not tested:
+        return out
+    pick = slice(None) if len(tested) == len(regions) else tested
+    weights = np.fmin.reduce(p.weights[pick], axis=-1).tolist()
     if p.family == "gaussian":
-        means = np.fmax.reduce(np.abs(p.means), axis=(-2, -1)).tolist()
-        eigs = np.linalg.eigvalsh(p.covs)
+        means = np.fmax.reduce(np.abs(p.means[pick]), axis=(-2, -1)).tolist()
+        eigs = np.linalg.eigvalsh(p.covs[pick])
         low, high = eigs[..., 0], eigs[..., -1]
     else:
-        means = [-math.inf] * len(regions)
-        low = high = p.rates
+        means = [-math.inf] * len(tested)
+        low = high = p.rates[pick]
     low = np.minimum.reduce(low, axis=-1).tolist()
     high = np.maximum.reduce(high, axis=-1).tolist()
-    out = []
-    for region, w, mu, lo, hi in zip(regions, weights, means, low, high):
+    for i, w, mu, lo, hi in zip(tested, weights, means, low, high):
+        region = regions[i]
         m = float(region.m)
-        out.append(
-            not (w < 1.0 / (region.c1 + m) or mu > region.c2 + m)
-            and lo >= 1.0 / (region.c3 + m)
-            and hi <= region.c3 + m
-        )
+        if w < 1.0 / (region.c1 + m):
+            out[i] = "weight"
+        elif mu > region.c2 + m:
+            out[i] = "mean"
+        elif not lo >= 1.0 / (region.c3 + m):
+            out[i] = "low"
+        elif not hi <= region.c3 + m:
+            out[i] = "high"
     return out
 
 
@@ -259,7 +269,7 @@ def _attempt(fn, *args):
 
 def _advance(stats: tuple, params: _Stacked, sbar: tuple, gamma: float, regions: list) -> tuple:
     """One step of a group after its E-step, on arrays with a leading member
-    axis: ``(stats, params, regions, failed)`` after the step.
+    axis: ``(stats, params, regions, outcomes)`` after the step.
 
     ``stats`` is ``(mass, moment1, moment2)``, ``params`` the factored stack
     of its M-step image, ``sbar`` each member's batch E-step at ``params``
@@ -267,51 +277,39 @@ def _advance(stats: tuple, params: _Stacked, sbar: tuple, gamma: float, regions:
     One M-step serves the group; when it fails, it is redone member by
     member to find whose it is.  Only truncated members take the region
     test, and a reset goes through :func:`_reset` on the member's own slice.
-    ``failed`` maps the position of each member whose step failed to its
-    error; the returned arrays still hold that member's rows.
+    ``outcomes`` has one entry per member: None when its step was accepted;
+    the reason when it reset (the :func:`_inside` bound the candidate broke,
+    or its M-step error's class name); the :class:`EstimationError` when it
+    failed, whose rows the returned arrays still hold.
     """
     candidate = _blend(stats, sbar, gamma)
-    failed, outside = {}, []
     try:
         theta = _mstep(candidate, params.family)
     except EstimationError:
         images = [_attempt(_mstep, _member(candidate, i), params.family) for i in range(len(regions))]
-        for i, image in enumerate(images):
-            if not isinstance(image, Exception):
-                continue
-            if regions[i] is not None and isinstance(image, (EmptyComponentError, DegenerateComponentError)):
-                outside.append(i)
-            else:
-                failed[i] = image
+        failed = [i for i, image in enumerate(images) if isinstance(image, Exception)]
         # A failed member keeps its last accepted parameters until it resets or leaves.
-        theta = _join([
-            _member(params, i) if isinstance(image, Exception) else image
-            for i, image in enumerate(images)
-        ])
-    tested = [
-        i for i, region in enumerate(regions)
-        if region is not None and i not in failed and i not in outside
-    ]
-    if len(tested) == len(regions):
-        outside = [i for i, ok in enumerate(_inside(theta, regions)) if not ok]
-    elif tested:
-        # A run of positions is a view; the test needs no copy of it.
-        span = slice(tested[0], tested[-1] + 1)
-        sub = _member(theta, span if span.stop - span.start == len(tested) else tested)
-        inside = _inside(sub, [regions[i] for i in tested])
-        outside += [i for i, ok in zip(tested, inside) if not ok]
+        theta = _join([_member(params, i) if i in failed else image for i, image in enumerate(images)])
+        outcomes = _inside(theta, [None if i in failed else region for i, region in enumerate(regions)])
+        for i in failed:
+            undefined = isinstance(images[i], (EmptyComponentError, DegenerateComponentError))
+            outcomes[i] = type(images[i]).__name__ if undefined and regions[i] is not None else images[i]
+    else:
+        outcomes = _inside(theta, regions)
     regions = list(regions)
-    for i in outside:
+    for i, outcome in enumerate(outcomes):
+        if not isinstance(outcome, str):
+            continue
         try:
             reset = _reset(_member(params, i), _member(sbar, i), regions[i])
         except EstimationError as exc:
-            failed[i] = exc
+            outcomes[i] = exc
             continue
         for whole, part in zip((*candidate, *theta[1:]), (*reset[0], *reset[1][1:])):
             if whole is not None:
                 whole[i] = part
         regions[i] = replace(regions[i], m=regions[i].m + 1)
-    return candidate, theta, regions, failed
+    return candidate, theta, regions, outcomes
 
 
 def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
@@ -327,15 +325,15 @@ def minibatch_step(state: EmState, batch: np.ndarray, gamma: float) -> EmState:
     data = _as_data_matrix(batch, state.theta.dim)
     s = state.stats
     params = _stack(state.theta)
-    stats, params, regions, failed = _advance(
+    stats, params, regions, outcomes = _advance(
         _member((s.mass, s.moment1, s.moment2), None),
         _member(params, None),
         _member(_estep(data, params), None),
         gamma,
         [state.region],
     )
-    if failed:
-        raise failed[0]
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
     return EmState(SuffStats(*_member(stats, 0)), _member(params, 0).mixture(), regions[0])
 
 
@@ -360,7 +358,7 @@ def _reset(params: _Stacked, sbar: tuple, region: TruncationRegion) -> tuple:
     for margin in (0.0, 1e-12, 1e-9, 1e-6):
         stats = _stats(_project(anchor, region, margin))
         theta = _mstep(stats, params.family)
-        if _inside(_member(theta, None), [base])[0]:
+        if _inside(_member(theta, None), [base])[0] is None:
             return stats, theta
     raise TruncationError("projection failed to land inside the base region")
 
@@ -434,7 +432,11 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """Everything one run produced: parameters, per-epoch traces, counts."""
+    """Everything one run produced: parameters, per-epoch traces, counts.
+
+    ``resets`` maps each reason a step reset for (see :func:`_advance`) to
+    its count, in order of first occurrence; the counts sum to
+    ``truncation_events``."""
 
     final_theta: MixtureParams
     polyak_theta: MixtureParams | None
@@ -442,6 +444,7 @@ class RunRecord:
     polyak_trace: list
     iterations: int
     truncation_events: int
+    resets: dict
 
 
 def _lockstep(configs: tuple) -> RunConfig:
@@ -476,14 +479,17 @@ def _draws(rng: np.random.Generator, n: int, batch_size: int, count: int):
         yield from rng.integers(0, n, size=(min(rows, count - start), batch_size))
 
 
-def _drop(r: int, failed: dict, out: list, live: list, *members) -> list:
+def _drop(r: int, results: list, out: list, live: list, *members) -> list:
     """``live`` and each per-member list or stack of ``members`` without
-    the positions in ``failed``, whose errors go to ``out`` as
-    :class:`EngineRunError` at iteration ``r``."""
-    for i, exc in failed.items():
-        out[live[i]] = error = EngineRunError(r, str(exc))
-        error.__cause__ = exc
-    keep = [i for i in range(len(live)) if i not in failed]
+    the positions whose entry of ``results`` is an error, which goes to
+    ``out`` as :class:`EngineRunError` at iteration ``r``."""
+    keep = [i for i, result in enumerate(results) if not isinstance(result, Exception)]
+    if len(keep) == len(live):
+        return [live, *members]
+    for i, exc in enumerate(results):
+        if i not in keep:
+            out[live[i]] = error = EngineRunError(r, str(exc))
+            error.__cause__ = exc
     return [[live[i] for i in keep]] + [
         None if x is None else [x[i] for i in keep] if isinstance(x, list) else _member(x, keep)
         for x in members
@@ -503,8 +509,8 @@ def run(data: np.ndarray, config, init: MixtureParams):
     one iteration per epoch, no draws, starting from the statistic whose
     M-step image is ``init``.  The trace is recorded at epoch boundaries.
     ``truncation_events`` is the number of resets, the growth of the region
-    index m over the run.  Identical seed and config give a bit-identical
-    record.
+    index m over the run, and ``resets`` counts them per reason.  Identical
+    seed and config give a bit-identical record.
 
     ``config`` may also be a tuple of configs that share ``epochs``,
     ``batch_size`` and ``learning_rate`` (else :class:`InvalidInputError`);
@@ -559,6 +565,7 @@ def run(data: np.ndarray, config, init: MixtureParams):
     averaged = any(c.polyak for c in configs)
     out = [None] * len(configs)
     traces = [[] for _ in configs]
+    resets = [{} for _ in configs]
     polyak_traces = [[] for _ in configs]
     # Iteration 0 of a mini-batch group draws the first batches, whose
     # E-steps are the starting statistics.
@@ -576,22 +583,23 @@ def run(data: np.ndarray, config, init: MixtureParams):
                 for i, d in enumerate(draws)
             ]
         if isinstance(sbar, list):
-            failed = {i: part for i, part in enumerate(sbar) if isinstance(part, Exception)}
-            if failed:
-                live, regions, draws, stats, params, acc, sbar = _drop(
-                    r, failed, out, live, regions, draws, stats, params, acc, sbar
-                )
-                if not live:
-                    break
+            live, regions, draws, stats, params, acc, sbar = _drop(
+                r, sbar, out, live, regions, draws, stats, params, acc, sbar
+            )
+            if not live:
+                break
             sbar = _join(sbar)
         if r == 0:
             stats = sbar
             continue
         gamma = 1.0 if full else lead.learning_rate.at(r)
-        stats, params, regions, failed = _advance(stats, params, sbar, gamma, regions)
-        if failed:
+        stats, params, regions, outcomes = _advance(stats, params, sbar, gamma, regions)
+        if any(outcomes):  # a reset or a failure
+            for k, outcome in zip(live, outcomes):
+                if isinstance(outcome, str):
+                    resets[k][outcome] = resets[k].get(outcome, 0) + 1
             live, regions, draws, stats, params, acc = _drop(
-                r, failed, out, live, regions, draws, stats, params, acc
+                r, outcomes, out, live, regions, draws, stats, params, acc
             )
             if not live:
                 break
@@ -602,7 +610,7 @@ def run(data: np.ndarray, config, init: MixtureParams):
                 traces[k].append(_member(params, i).mixture())
                 if configs[k].polyak:
                     polyak_traces[k].append(_member(acc, i).mixture())
-    for i, k in enumerate(live):
+    for k in live:
         # The last iteration ends an epoch, so the trace holds the final parameters.
         out[k] = RunRecord(
             final_theta=traces[k][-1],
@@ -610,7 +618,8 @@ def run(data: np.ndarray, config, init: MixtureParams):
             trace=traces[k],
             polyak_trace=polyak_traces[k],
             iterations=total,
-            truncation_events=0 if regions[i] is None else regions[i].m - configs[k].truncation.m,
+            truncation_events=sum(resets[k].values()),
+            resets=resets[k],
         )
     if isinstance(config, RunConfig):
         if isinstance(out[0], EngineRunError):

@@ -56,10 +56,16 @@ def random_instance(rng, max_d=2, max_g=3, n=60):
     return data, labels, theta
 
 
+def region_breaks(theta, region):
+    """The first bound of ``region`` at its current index that ``theta``
+    breaks, or None when it lies inside: the engine's own test, on the
+    parameters' stack as a group of one."""
+    return _inside(_member(_stack(theta), None), [region])[0]
+
+
 def region_contains(theta, region):
-    """Whether ``theta`` lies in ``region`` at its current index: the
-    engine's own test, on the parameters' stack as a group of one."""
-    return bool(_inside(_member(_stack(theta), None), [region])[0])
+    """Whether ``theta`` lies in ``region`` at its current index."""
+    return region_breaks(theta, region) is None
 
 
 def reset_stat(state, batch):

@@ -37,7 +37,14 @@ from mbem.families import (
 from mbem.families import _blend
 from mbem.metrics import dataset_loglik
 
-from conftest import make_gaussian_mixture, region_contains, replay, reset_stat, stats_from_params
+from conftest import (
+    make_gaussian_mixture,
+    region_breaks,
+    region_contains,
+    replay,
+    reset_stat,
+    stats_from_params,
+)
 
 
 def _params_equal(a: MixtureParams, b: MixtureParams) -> bool:
@@ -240,23 +247,40 @@ def test_region_contains_interior_point():
 
 
 def test_region_simplex_floor():
+    # the weight floor is the first bound tested: a member that also breaks
+    # the mean bound or the low eigenvalue reports the floor
     w = np.array([1e-6, 1.0 - 1e-6])
-    theta = MixtureParams(w, (Gaussian([0.0], [[1.0]]), Gaussian([1.0], [[1.0]])))
-    assert not region_contains(theta, TruncationRegion(1000, 1000, 1000))
+    for mean, var in ((0.0, 1.0), (2000.0, 1.0), (0.0, 1e-4)):
+        theta = MixtureParams(w, (Gaussian([mean], [[var]]), Gaussian([1.0], [[1.0]])))
+        assert region_breaks(theta, TruncationRegion(1000, 1000, 1000)) == "weight", (mean, var)
 
 
 def test_region_eigenvalue_threshold_arithmetic():
-    cov = np.diag([1e-4, 1.0])
-    theta = MixtureParams([1.0], (Gaussian([0.0, 0.0], cov),))
-    assert not region_contains(theta, TruncationRegion(1000, 1000, 1000, m=0))
-    assert region_contains(theta, TruncationRegion(1000, 1000, 1000, m=9001))
+    # each bound breaks at m = 0 and holds at m = 9001; where two break,
+    # the mean comes before the low eigenvalue, and that before the high one
+    cases = [
+        ([0.0, 0.0], np.diag([1e-4, 1.0]), "low"),
+        ([0.0, 0.0], np.diag([1e4, 1.0]), "high"),
+        ([2000.0, 0.0], np.eye(2), "mean"),
+        ([2000.0, 0.0], np.diag([1e-4, 1.0]), "mean"),
+        ([0.0, 0.0], np.diag([1e-4, 1e4]), "low"),
+    ]
+    for mean, cov, reason in cases:
+        theta = MixtureParams([1.0], (Gaussian(mean, cov),))
+        assert region_breaks(theta, TruncationRegion(1000, 1000, 1000, m=0)) == reason, (mean, cov)
+        assert region_breaks(theta, TruncationRegion(1000, 1000, 1000, m=9001)) is None, (mean, cov)
 
 
 def test_region_rate_family_box():
+    region = TruncationRegion(1000, 1000, 1000)
     theta = MixtureParams([0.5, 0.5], (Poisson(0.5), Poisson(3.0)))
-    assert region_contains(theta, TruncationRegion(1000, 1000, 1000))
+    assert region_breaks(theta, region) is None
     tiny = MixtureParams([0.5, 0.5], (Poisson(1e-5), Poisson(3.0)))
-    assert not region_contains(tiny, TruncationRegion(1000, 1000, 1000))
+    assert region_breaks(tiny, region) == "low"
+    huge = MixtureParams([0.5, 0.5], (Poisson(0.5), Poisson(5e3)))
+    assert region_breaks(huge, region) == "high"
+    starved = MixtureParams([1e-6, 1.0 - 1e-6], (Poisson(1e-5), Poisson(3.0)))
+    assert region_breaks(starved, region) == "weight"
 
 
 def test_region_growth_is_monotone(rng):
@@ -771,8 +795,32 @@ def test_run_is_iterated_public_steps(case, truncated, polyak):
     else:
         assert rec.polyak_theta is None and rec.polyak_trace == []
     assert rec.truncation_events == (state.region.m - cfg.truncation.m if truncated else 0)
+    assert sum(rec.resets.values()) == rec.truncation_events
     if truncated:
         assert rec.truncation_events > 0
+
+
+@pytest.mark.parametrize(
+    "seed, resets",
+    [
+        (1, {"weight": 145, "low": 104, "DegenerateCovarianceError": 1}),
+        (2, {"weight": 167, "low": 109, "DegenerateCovarianceError": 1}),
+        (3, {"weight": 196, "low": 62, "DegenerateCovarianceError": 1}),
+    ],
+    ids=["seed1", "seed2", "seed3"],
+)
+def test_online_resets_per_reason(seed, resets):
+    # truncated batch-size-1 EM on the iris template resets 250, 277 and
+    # 259 times in 5000 steps, mostly on the weight floor: a reset lifts a
+    # starved component to weight 1/c1, and it decays below the floor again.
+    # The first step's covariance rests on two rows and is singular.
+    template = template_from_labeled_data(*read_labeled_csv(IRIS_CSV))
+    data, _ = sample(template, 5000, np.random.default_rng(1))
+    init = random_partition_init(data, 3, np.random.default_rng(seed))
+    cfg = RunConfig(epochs=1, batch_size=1, truncation=TruncationRegion(), seed=seed)
+    rec = run(data, cfg, init)
+    assert rec.resets == resets
+    assert rec.truncation_events == sum(resets.values())
 
 
 def test_truncation_events_count_from_a_nonzero_start():

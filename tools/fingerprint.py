@@ -9,10 +9,14 @@ Prints one JSON object that maps each case to sha256 digests of its arrays:
   d = 1, 4 and 50.  At g = 3, ``kmeans/...-emptied`` starts from the same
   means with the last one at 1e6 in every coordinate, so that the first
   sweep empties that cluster and reseeds it from the farthest row;
-* ``run/...``: every field of a :class:`mbem.RunRecord`, over 54 runs:
-  d = 1, 4 and 50; batch EM and batch sizes 1, 2, 10 and 500; truncated
-  or not (mini-batch only) and Polyak-averaged or not.  A run that fails
-  records its error type and message instead;
+* ``run/...``: the ``final_theta``, ``polyak_theta``, ``trace``,
+  ``polyak_trace``, ``iterations`` and ``truncation_events`` fields of a
+  :class:`mbem.RunRecord`, over 54 runs: d = 1, 4 and 50; batch EM and
+  batch sizes 1, 2, 10 and 500; truncated or not (mini-batch only) and
+  Polyak-averaged or not.  A run that fails records its error type and
+  message instead.  ``resets``, the per-reason split of
+  ``truncation_events``, is not digested, so that this tool still runs on
+  sources from before that field existed;
 * ``grid/<variant>/<rep>``: every non-timing ``results.csv`` column of
   one row of ``mbem simulate --variant all`` on the iris template
   (n = 1000, 2 epochs, 2 repetitions) at batch sizes 1, 2 and 10, where
